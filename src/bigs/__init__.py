@@ -22,17 +22,17 @@ from .motifs import (Motif, MotifClass, MotifSet, ancestor_neighborhood,
 from .sampling import (AcsObservation, SampleGraph, acs_sample, induced_sample,
                        motif_observed, snowball_observation_distance,
                        snowball_sample)
-from .design import (Design, SampleBig, enumerate_design, exclusion_probability,
-                     first_order_inclusion, parse_design_file,
-                     realize_sample_big, second_order_inclusion)
+from .design import (Design, SampleBig, first_order_inclusion,
+                     parse_design_file, realize_sample_big,
+                     second_order_inclusion)
 from .big import (AcsContext, AncestorRule, Big, FeasibilityReport, acs_big,
                   check_feasibility, dump_big, load_big, snowball_big)
 from .estimators import (DeltaMatrix, EstimatorReport, EstimatorSpec,
                          MomentSummary, MonteCarloSummary, WeightScheme,
-                         delta_matrix, exact_moments, hh_estimate, ht_estimate,
-                         induced_ht_evaluator, induced_ht_moments,
-                         induced_inclusion, modified_ht_acs,
-                         monte_carlo_moments, rao_blackwellize,
+                         delta_matrix, estimate, exact_moments, hh_estimate,
+                         ht_estimate, induced_ht_evaluator, induced_ht_moments,
+                         induced_inclusion, monte_carlo_moments,
+                         rao_blackwellize,
                          resolve_weights, sample_evaluator,
                          srswor_equal_share_delta, variance_difference)
 from .builtins import (BuiltinPopulation, builtin_population, reproduce,
@@ -50,15 +50,14 @@ __all__ = [
     "observation_distance",
     "AcsObservation", "SampleGraph", "acs_sample", "induced_sample",
     "motif_observed", "snowball_observation_distance", "snowball_sample",
-    "Design", "SampleBig", "enumerate_design", "exclusion_probability",
-    "first_order_inclusion", "parse_design_file", "realize_sample_big",
-    "second_order_inclusion",
+    "Design", "SampleBig", "first_order_inclusion", "parse_design_file",
+    "realize_sample_big", "second_order_inclusion",
     "AcsContext", "AncestorRule", "Big", "FeasibilityReport", "acs_big",
     "check_feasibility", "dump_big", "load_big", "snowball_big",
     "DeltaMatrix", "EstimatorReport", "EstimatorSpec", "MomentSummary",
-    "MonteCarloSummary", "WeightScheme", "delta_matrix", "exact_moments",
-    "hh_estimate", "ht_estimate", "induced_ht_evaluator", "induced_ht_moments",
-    "induced_inclusion", "modified_ht_acs", "monte_carlo_moments",
+    "MonteCarloSummary", "WeightScheme", "delta_matrix", "estimate",
+    "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
+    "induced_ht_moments", "induced_inclusion", "monte_carlo_moments",
     "rao_blackwellize", "resolve_weights", "sample_evaluator",
     "srswor_equal_share_delta", "variance_difference",
     "BuiltinPopulation", "builtin_population", "reproduce",

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from .errors import InfeasibleError, ParseError
 from .graph import Graph, INFINITE, geodesics
 from .motifs import (Motif, MotifSet, ancestor_neighborhood, motif_diameter,
-                     observation_diameter, observation_distance)
+                     observation_diameter, observation_distance, to_fraction)
 from .sampling import acs_sample, motif_observed, snowball_sample
 
 FULL = "full"
@@ -230,9 +230,8 @@ def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule)
     missing = [u for u in grid.labels if u not in y]
     if missing:
         raise ValueError(f"missing y-values for grids: {missing}")
-    thr = threshold if isinstance(threshold, Fraction) else Fraction(str(threshold))
-    values = {u: Fraction(str(y[u])) if isinstance(y[u], float) else Fraction(y[u])
-              for u in grid.labels}
+    thr = to_fraction(threshold)
+    values = {u: to_fraction(y[u]) for u in grid.labels}
     above = {u for u in grid.labels if values[u] > thr}
 
     networks: list[frozenset[str]] = []

@@ -20,9 +20,8 @@ from typing import Mapping
 
 from .big import ACS_B, ACS_B_DAGGER, ACS_B_STAR, AncestorRule, Big, acs_big
 from .design import Design, realize_sample_big
-from .estimators import (HT, MEAN_PER_UNIT, MODIFIED_HT, EstimatorSpec,
-                         WeightScheme, exact_moments, hh_estimate, ht_estimate,
-                         sample_evaluator)
+from .estimators import (HH, HT, MEAN_PER_UNIT, MODIFIED_HT, EstimatorSpec,
+                         WeightScheme, estimate, exact_moments, sample_evaluator)
 from .graph import Graph
 from .motifs import Motif, MotifSet
 
@@ -194,21 +193,17 @@ def reproduce_table4() -> Table4Reproduction:
     estimates: dict[tuple[str, str], Fraction] = {}
     labels = []
     plans = (
-        ("t2", "ht", None),
-        ("t2", "hh:equal-share", WeightScheme.equal_share()),
-        ("t2", "hh:inverse-alpha", WeightScheme.inverse_alpha(pop.alpha_sizes["t2"])),
-        ("t4", "ht", None),
-        ("t4", "hh:equal-share", WeightScheme.equal_share()),
+        ("t2", EstimatorSpec(HT)),
+        ("t2", EstimatorSpec(HH, WeightScheme.equal_share())),
+        ("t2", EstimatorSpec(HH, WeightScheme.inverse_alpha(pop.alpha_sizes["t2"]))),
+        ("t4", EstimatorSpec(HT)),
+        ("t4", EstimatorSpec(HH, WeightScheme.equal_share())),
     )
-    for big_label, estimator, weights in plans:
+    for big_label, spec in plans:
         big = pop.bigs[big_label]
-        sample = realize_sample_big(big, s0)
-        if weights is None:
-            report = ht_estimate(sample, pop.design, big)
-        else:
-            report = hh_estimate(sample, pop.design, big, weights)
-        labels.append((big_label, estimator))
-        estimates[(big_label, estimator)] = report.estimate
+        report = estimate(spec, pop.design, big, realize_sample_big(big, s0))
+        labels.append((big_label, spec.label))
+        estimates[(big_label, spec.label)] = report.estimate
     return Table4Reproduction(seeds, tuple(labels), estimates)
 
 

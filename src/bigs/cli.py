@@ -29,12 +29,10 @@ from .big import (ACS_B, ACS_B_DAGGER, ACS_B_STAR, FULL, MOTIF_PLUS,
 from .builtins import (BUILTIN_NAMES, TABLE4_BIGS, THOMPSON1990,
                        Table1Reproduction, Table4Reproduction,
                        builtin_population, reproduce)
-from .design import Design, enumerate_design, parse_design_file, realize_sample_big
+from .design import Design, parse_design_file, realize_sample_big
 from .errors import BigsError
-from .estimators import (HH, HT, INV_ALPHA, EstimatorSpec, WeightScheme,
-                         exact_moments, hh_estimate, ht_estimate,
-                         modified_ht_acs, monte_carlo_moments,
-                         rao_blackwellize, sample_evaluator)
+from .estimators import (INV_ALPHA, EstimatorSpec, WeightScheme, estimate,
+                         exact_moments, monte_carlo_moments, sample_evaluator)
 from .graph import Graph, load_edge_list
 from .motifs import Motif, MotifClass, MotifSet, enumerate_motifs
 
@@ -65,6 +63,10 @@ class ExperimentConfig:
     cap: int | None = None
     count: bool = False
     out: str | None = None
+
+    def __post_init__(self):
+        if self.cap is not None and self.cap < 1:
+            raise ValueError(f"cap must be >= 1, got {self.cap}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -221,7 +223,7 @@ def _enumerate_classes(cfg: ExperimentConfig, g: Graph) -> list[tuple[MotifClass
 @dataclass(frozen=True)
 class _Resolved:
     big: Big
-    design: Design | None
+    fallback_design: Design | None
     graph: Graph | None
     alpha_sizes: dict | None
     big_label: str
@@ -236,7 +238,7 @@ def _design_for(cfg: ExperimentConfig, frame, fallback: Design | None = None) ->
 
 
 def _resolve(cfg: ExperimentConfig) -> _Resolved:
-    """Turn the config's input into a Big plus design for estimation."""
+    """Turn the config's input (builtin, BIG file or edge list) into a Big."""
     if cfg.input is None:
         raise ValueError("no input given (edge-list path, BIG path or builtin name)")
     if cfg.input in BUILTIN_NAMES:
@@ -250,17 +252,15 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             label = f"t{cfg.t}" if cfg.t is not None else None
             if label not in pop.bigs:
                 raise ValueError("builtin table4-bigs needs --t 2 or --t 4")
-        big = pop.bigs[label]
-        design = _design_for(cfg, big.frame, fallback=pop.design)
         alpha = None
         if pop.alpha_sizes is not None:
             alpha = pop.alpha_sizes.get(label)
-        return _Resolved(big, design, pop.graph, alpha, f"{cfg.input}:{label}")
+        return _Resolved(pop.bigs[label], pop.design, pop.graph, alpha,
+                         f"{cfg.input}:{label}")
     text = _read_text(cfg.input)
     if _looks_like_big_file(text):
-        big = load_big(text)
         graph = load_edge_list(_read_text(cfg.graph)) if cfg.graph else None
-        return _Resolved(big, _design_for(cfg, big.frame), graph, None, cfg.input)
+        return _Resolved(load_big(text), None, graph, None, cfg.input)
     graph = load_edge_list(text)
     rule = _ancestor_rule(cfg)
     if rule.kind in _ACS_RULES:
@@ -274,8 +274,7 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
         if not motifs:
             raise ValueError("no motifs of the requested classes in the graph")
         big = snowball_big(graph, motifs, rule)
-    return _Resolved(big, _design_for(cfg, big.frame), graph, None,
-                     f"{cfg.input}:{rule.label}")
+    return _Resolved(big, None, graph, None, f"{cfg.input}:{rule.label}")
 
 
 def _estimator_specs(cfg: ExperimentConfig, alpha_sizes: dict | None) -> list[EstimatorSpec]:
@@ -295,11 +294,12 @@ def _estimator_specs(cfg: ExperimentConfig, alpha_sizes: dict | None) -> list[Es
     return specs
 
 
-def _require_design(resolved: _Resolved) -> Design:
-    if resolved.design is None:
+def _require_design(cfg: ExperimentConfig, resolved: _Resolved) -> Design:
+    design = _design_for(cfg, resolved.big.frame, resolved.fallback_design)
+    if design is None:
         raise ValueError("no design given: pass --n SIZE for simple random "
                          "sampling or --design FILE for an enumerated design")
-    return resolved.design
+    return design
 
 
 def _new_seed() -> int:
@@ -335,40 +335,16 @@ def _run_motifs(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _build_big(cfg: ExperimentConfig) -> tuple[Big, Graph | None]:
-    if cfg.input is None:
-        raise ValueError("no input given")
-    if cfg.input in BUILTIN_NAMES:
-        resolved = _resolve(cfg)
-        return resolved.big, resolved.graph
-    text = _read_text(cfg.input)
-    if _looks_like_big_file(text):
-        graph = load_edge_list(_read_text(cfg.graph)) if cfg.graph else None
-        return load_big(text), graph
-    graph = load_edge_list(text)
-    rule = _ancestor_rule(cfg)
-    if rule.kind in _ACS_RULES:
-        if cfg.y_values is None or cfg.threshold is None:
-            raise ValueError("adaptive-cluster rules need --y-values FILE and "
-                             "--threshold VALUE")
-        return acs_big(graph, _parse_y_values(cfg.y_values),
-                       Fraction(cfg.threshold), rule), graph
-    motifs = _merge_motif_sets([ms for _, ms in _enumerate_classes(cfg, graph)])
-    if not motifs:
-        raise ValueError("no motifs of the requested classes in the graph")
-    return snowball_big(graph, motifs, rule), graph
-
-
 def _run_big(cfg: ExperimentConfig) -> int:
     action = cfg.action
     if action in ("build", "export"):
-        big, _ = _build_big(cfg)
-        _write(cfg, dump_big(big))
+        _write(cfg, dump_big(_resolve(cfg).big))
         return 0
     if action == "check":
-        big, graph = _build_big(cfg)
-        design = _design_for(cfg, big.frame)
-        report = check_feasibility(big, design=design, graph=graph, stages=cfg.t)
+        resolved = _resolve(cfg)
+        design = _design_for(cfg, resolved.big.frame)
+        report = check_feasibility(resolved.big, design=design, graph=resolved.graph,
+                                   stages=cfg.t)
         body = {"feasible": report.feasible,
                 "violations": list(report.violations),
                 "checks": report.checks}
@@ -387,7 +363,7 @@ def _run_big(cfg: ExperimentConfig) -> int:
 def _run_sample(cfg: ExperimentConfig) -> int:
     resolved = _resolve(cfg)
     big = resolved.big
-    design = _require_design(resolved)
+    design = _require_design(cfg, resolved)
     specs = _estimator_specs(cfg, resolved.alpha_sizes)
     seed = None
     if cfg.seeds:
@@ -396,18 +372,7 @@ def _run_sample(cfg: ExperimentConfig) -> int:
         seed = cfg.seed if cfg.seed is not None else _new_seed()
         s0 = design.draw(random.Random(seed))
     sample = realize_sample_big(big, s0)
-    results = []
-    for spec in specs:
-        if spec.rao_blackwell:
-            report = rao_blackwellize(spec, design, big, sample,
-                                      cap=cfg.cap or 10_000_000)
-        elif spec.kind == HT:
-            report = ht_estimate(sample, design, big, scale=spec.scale)
-        elif spec.kind == HH:
-            report = hh_estimate(sample, design, big, spec.weights, scale=spec.scale)
-        else:
-            report = modified_ht_acs(sample, design, big, scale=spec.scale)
-        results.append((spec, report))
+    results = [(spec, estimate(spec, design, big, sample, cap=cfg.cap)) for spec in specs]
     if _wants_json(cfg, default_json=True):
         body = {
             "big": resolved.big_label,
@@ -435,18 +400,17 @@ def _run_sample(cfg: ExperimentConfig) -> int:
 def _run_enumerate(cfg: ExperimentConfig) -> int:
     resolved = _resolve(cfg)
     big = resolved.big
-    design = _require_design(resolved)
+    design = _require_design(cfg, resolved)
     specs = _estimator_specs(cfg, resolved.alpha_sizes)
-    cap = cfg.cap or 10_000_000
-    summaries = [(spec, exact_moments(design, big, spec, cap=cap)) for spec in specs]
+    summaries = [(spec, exact_moments(design, big, spec, cap=cfg.cap)) for spec in specs]
     header = ["estimator", "scale", "expectation", "variance", "mse", "support"]
     rows = [[spec.label, spec.scale, _fmt(mom.expectation), _fmt(mom.variance),
              _fmt(mom.mse), str(mom.support)] for spec, mom in summaries]
     if _wants_json(cfg):
-        evaluators = [(spec, sample_evaluator(design, big, spec, cap=cap))
+        evaluators = [(spec, sample_evaluator(design, big, spec, cap=cfg.cap))
                       for spec in specs]
         table = []
-        for s0, p in enumerate_design(design, cap=cap):
+        for s0, p in design.enumerate(cfg.cap):
             entry = {"sample": sorted(s0), "probability": str(p), "estimates": {}}
             for spec, evaluate in evaluators:
                 est = evaluate(s0)
@@ -476,12 +440,11 @@ def _run_enumerate(cfg: ExperimentConfig) -> int:
 def _run_simulate(cfg: ExperimentConfig) -> int:
     resolved = _resolve(cfg)
     big = resolved.big
-    design = _require_design(resolved)
+    design = _require_design(cfg, resolved)
     specs = _estimator_specs(cfg, resolved.alpha_sizes)
     seed = cfg.seed if cfg.seed is not None else _new_seed()
-    cap = cfg.cap or 10_000_000
     summaries = [(spec, monte_carlo_moments(design, big, spec, cfg.replicates,
-                                            seed, cap=cap)) for spec in specs]
+                                            seed, cap=cfg.cap)) for spec in specs]
     header = ["estimator", "scale", "replicates", "seed", "mean", "se_mean",
               "variance", "se_variance", "mse", "se_mse"]
     rows = [[spec.label, spec.scale, str(mc.replicates), str(mc.seed),

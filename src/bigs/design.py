@@ -113,7 +113,9 @@ class Design:
         return sum((p for s, p in self.points if u in s and v in s), Fraction(0))
 
     def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
-        """Yield (initial sample, probability) over the whole support."""
+        """Yield (initial sample, probability) over the whole support.
+
+        Refuses supports larger than ``cap`` (DEFAULT_ENUMERATION_CAP when None)."""
         cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
         if self.size > cap:
             raise EnumerationCapError(
@@ -144,10 +146,6 @@ class Design:
         return f"<Design enumerated |support|={len(self.points)}>"
 
 
-def exclusion_probability(design: Design, units: Iterable[str]) -> Fraction:
-    return design.exclusion(units)
-
-
 def first_order_inclusion(design: Design, big, key: str) -> Fraction:
     """Probability that the motif is observed under the design and BIG."""
     ancestors = big.ancestors(key)
@@ -162,10 +160,6 @@ def second_order_inclusion(design: Design, big, k: str, l: str) -> Fraction:
     if not bk or not bl:
         raise InfeasibleError("motif with empty ancestor set")
     return 1 - (design.exclusion(bk) + design.exclusion(bl) - design.exclusion(bk | bl))
-
-
-def enumerate_design(design: Design, cap: int | None = None):
-    return design.enumerate(cap)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .big import Big
-from .design import (DEFAULT_ENUMERATION_CAP, Design, SampleBig, SRSWOR,
-                     enumerate_design, first_order_inclusion,
-                     realize_sample_big, second_order_inclusion)
+from .design import (Design, SampleBig, SRSWOR, first_order_inclusion,
+                     second_order_inclusion)
 from .errors import DesignError, WeightError
-from .motifs import MotifSet
+from .motifs import MotifSet, to_fraction
 
 TOTAL = "total"
 MEAN_PER_UNIT = "mean"
@@ -73,7 +72,7 @@ class WeightScheme:
 
     @classmethod
     def custom(cls, table: Mapping[tuple[str, str], object]) -> "WeightScheme":
-        frozen = {(str(u), str(k)): _fraction(w) for (u, k), w in table.items()}
+        frozen = {(str(u), str(k)): to_fraction(w) for (u, k), w in table.items()}
         return cls(CUSTOM, table=frozen)
 
     @classmethod
@@ -89,12 +88,6 @@ class WeightScheme:
     @property
     def label(self) -> str:
         return self.kind
-
-
-def _fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 def resolve_weights(big: Big, scheme: WeightScheme) -> dict[str, dict[str, Fraction]]:
@@ -211,180 +204,155 @@ def _scale_divisor(big: Big, scale: str) -> int:
     raise ValueError(f"unknown scale {scale!r}")
 
 
+def _eligibility_big(big: Big) -> Big:
+    """The Big on which modified HT is plain HT.
+
+    Each edge grid is its own only ancestor, so it enters the estimate
+    exactly when it is selected initially, divided by the probability of
+    that selection; every other motif keeps its ancestor set. This holds
+    under every adaptive-cluster rule.
+    """
+    if big.acs is None:
+        raise DesignError("modified HT needs an adaptive-cluster Big")
+    edge_grids = big.acs.edge_grids
+    beta = {key: frozenset([key]) if key in edge_grids else big.ancestors(key)
+            for key in big.motifs.keys()}
+    return Big(big.frame, big.motifs, beta, big.rule, acs=big.acs)
+
+
+def _observed(big: Big, seeds: Iterable[str]) -> frozenset[str]:
+    """The motifs of ``big`` that an initial sample observes."""
+    return frozenset().union(*(big.successors(u) for u in seeds))
+
+
+class _Plan:
+    """One estimator compiled against a design and a Big.
+
+    Every estimator here is a sum of terms value / π / divisor, one per
+    row that the initial sample hits. HT has one row per motif k, hit when
+    the sample meets β_k, with value y_k; HH has one row per frame unit i,
+    hit when i is selected, with value z_i; modified HT is HT on the
+    eligibility Big. Rao-Blackwellization conditions on the motif set
+    observed on the original Big.
+    """
+
+    def __init__(self, design: Design, big: Big, spec: EstimatorSpec):
+        self.design = design
+        self.big = big
+        self.spec = spec
+        self.div = _scale_divisor(big, spec.scale)
+        if spec.kind == HH:
+            weights = resolve_weights(big, spec.weights)
+            self.rows = big.frame
+            self.select = lambda unit: (unit,)
+            self.value = lambda unit: sum(
+                (weights[key][unit] * big.motifs.y(key) for key in big.successors(unit)),
+                Fraction(0))
+            self.pi = design.unit_inclusion
+        else:
+            terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
+            self.rows = terms.motifs.keys()
+            self.select = terms.successors
+            self.value = big.motifs.y
+            self.pi = lambda key: first_order_inclusion(design, terms, key)
+
+    def report(self, seeds: Iterable[str]) -> EstimatorReport:
+        """The estimate with a (row, π, share) entry for each row hit, in row order.
+
+        Only the rows hit are priced, so one report stays cheap."""
+        hit = {row for unit in seeds for row in self.select(unit)}
+        rows = []
+        total = Fraction(0)
+        for row in self.rows:
+            if row in hit:
+                pi = self.pi(row)
+                part = self.value(row) / pi / self.div
+                rows.append((row, pi, part))
+                total += part
+        return EstimatorReport(total, self.spec.scale, tuple(rows))
+
+    def _unconditioned(self) -> Callable[[Iterable[str]], Fraction]:
+        term = {row: self.value(row) / self.pi(row) / self.div for row in self.rows}
+        index = {unit: tuple(self.select(unit)) for unit in self.big.frame}
+
+        def evaluate(seeds: Iterable[str]) -> Fraction:
+            hit = set()
+            for unit in seeds:
+                hit.update(index[unit])
+            return sum((term[row] for row in hit), Fraction(0))
+
+        return evaluate
+
+    def _support(self, cap: int | None):
+        """(observed motif set, initial sample, probability) over the design."""
+        for seeds, p in self.design.enumerate(cap):
+            yield _observed(self.big, seeds), seeds, p
+
+    def evaluator(self, cap: int | None = None) -> Callable[[Iterable[str]], Fraction]:
+        """Seeds -> estimate; one draw costs the successor lists of its seeds."""
+        base = self._unconditioned()
+        if not self.spec.rao_blackwell:
+            return base
+        groups: dict[frozenset[str], tuple[Fraction, Fraction]] = {}
+        for observed, seeds, p in self._support(cap):
+            num, den = groups.get(observed, (Fraction(0), Fraction(0)))
+            groups[observed] = (num + p * base(seeds), den + p)
+        means = {observed: num / den for observed, (num, den) in groups.items()}
+        return lambda seeds: means[_observed(self.big, seeds)]
+
+    def conditioned(self, observed: SampleBig, cap: int | None = None) -> EstimatorReport:
+        """Rao-Blackwell report: one row per initial sample observing the same motifs."""
+        base = self._unconditioned()
+        target = frozenset(observed.motifs)
+        points = [(seeds, p, base(seeds)) for motifs, seeds, p in self._support(cap)
+                  if motifs == target]
+        den = sum((p for _, p, _ in points), Fraction(0))
+        if den == 0:
+            raise DesignError("no initial sample realizes the observed motif set")
+        num = sum((p * est for _, p, est in points), Fraction(0))
+        rows = tuple((" ".join(sorted(seeds)), p / den, est) for seeds, p, est in points)
+        return EstimatorReport(num / den, self.spec.scale, rows)
+
+
+def estimate(spec: EstimatorSpec, design: Design, big: Big, sample: SampleBig,
+             cap: int | None = None) -> EstimatorReport:
+    """Evaluate one estimator on one realized sample, with its per-term rows.
+
+    HT and modified HT rows are the motifs entered, HH rows the initial
+    units, and Rao-Blackwellized rows the initial samples averaged over.
+    """
+    plan = _Plan(design, big, spec)
+    return plan.conditioned(sample, cap) if spec.rao_blackwell else plan.report(sample.seeds)
+
+
 def ht_estimate(sample: SampleBig, design: Design, big: Big,
                 scale: str = TOTAL) -> EstimatorReport:
     """Inclusion-probability estimator: sum of y_k / π_(k) over Ω_s."""
-    div = _scale_divisor(big, scale)
-    rows = []
-    total = Fraction(0)
-    for key in sample.motifs:
-        pi = first_order_inclusion(design, big, key)
-        part = big.motifs.y(key) / pi / div
-        rows.append((key, pi, part))
-        total += part
-    return EstimatorReport(total, scale, tuple(rows))
+    return estimate(EstimatorSpec(HT, scale=scale), design, big, sample)
 
 
 def hh_estimate(sample: SampleBig, design: Design, big: Big,
                 weights: WeightScheme, scale: str = TOTAL) -> EstimatorReport:
     """Initial-sample estimator: sum of z_i / π_i over the seeds,
     with z_i the weighted share of the y-values of the successors of i."""
-    div = _scale_divisor(big, scale)
-    rows = []
-    total = Fraction(0)
-    resolved = resolve_weights(big, weights)
-    frame_pos = {u: i for i, u in enumerate(big.frame)}
-    for unit in sorted(sample.seeds, key=frame_pos.__getitem__):
-        z = sum((resolved[key][unit] * big.motifs.y(key)
-                 for key in big.successors(unit)), Fraction(0))
-        pi = design.unit_inclusion(unit)
-        part = z / pi / div
-        rows.append((unit, pi, part))
-        total += part
-    return EstimatorReport(total, scale, tuple(rows))
-
-
-def modified_ht_acs(sample: SampleBig, design: Design, big: Big,
-                    scale: str = TOTAL) -> EstimatorReport:
-    """Eligibility-modified HT for adaptive cluster sampling.
-
-    An observed edge grid enters the sum only when selected initially,
-    with the probability of that direct selection in the denominator;
-    every other motif uses its ordinary inclusion probability.
-    """
-    if big.acs is None:
-        raise DesignError("modified HT needs an adaptive-cluster Big")
-    div = _scale_divisor(big, scale)
-    edge_grids = big.acs.edge_grids
-    rows = []
-    total = Fraction(0)
-    for key in sample.motifs:
-        if key in edge_grids:
-            if key not in sample.seeds:
-                continue
-            pi = 1 - design.exclusion([key])
-        else:
-            pi = first_order_inclusion(design, big, key)
-        part = big.motifs.y(key) / pi / div
-        rows.append((key, pi, part))
-        total += part
-    return EstimatorReport(total, scale, tuple(rows))
-
-
-def _point_estimate(spec: EstimatorSpec, design: Design, big: Big,
-                    sample: SampleBig) -> Fraction:
-    if spec.kind == HT:
-        return ht_estimate(sample, design, big, spec.scale).estimate
-    if spec.kind == HH:
-        return hh_estimate(sample, design, big, spec.weights, spec.scale).estimate
-    return modified_ht_acs(sample, design, big, spec.scale).estimate
+    return estimate(EstimatorSpec(HH, weights, scale), design, big, sample)
 
 
 def rao_blackwellize(spec: EstimatorSpec, design: Design, big: Big,
-                     observed: SampleBig,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> EstimatorReport:
+                     observed: SampleBig, cap: int | None = None) -> EstimatorReport:
     """Average the estimator over every initial sample that realizes the
     same observed motif set, weighted by the design probabilities."""
-    base = EstimatorSpec(spec.kind, spec.weights, spec.scale, rao_blackwell=False)
-    target = frozenset(observed.motifs)
-    num = Fraction(0)
-    den = Fraction(0)
-    rows = []
-    for seeds, p in enumerate_design(design, cap=cap):
-        sample = realize_sample_big(big, seeds)
-        if frozenset(sample.motifs) != target:
-            continue
-        est = _point_estimate(base, design, big, sample)
-        num += p * est
-        den += p
-        rows.append((" ".join(sorted(seeds)), p, est))
-    if den == 0:
-        raise DesignError("no initial sample realizes the observed motif set")
-    rows = tuple((label, p / den, est) for label, p, est in rows)
-    return EstimatorReport(num / den, spec.scale, rows)
+    return _Plan(design, big, spec).conditioned(observed, cap)
 
 
 def sample_evaluator(design: Design, big: Big, spec: EstimatorSpec,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> Callable[[Iterable[str]], Fraction]:
+                     cap: int | None = None) -> Callable[[Iterable[str]], Fraction]:
     """Compile the spec into a fast seeds -> estimate function.
 
-    Per-motif probabilities and per-unit measures are computed once up
-    front; Rao-Blackwellized specs build the conditioning partition of the
-    design support on first use.
+    Per-row terms are computed once up front; Rao-Blackwellized specs
+    average over the design support grouped by observed motif set.
     """
-    div = _scale_divisor(big, spec.scale)
-    keys = tuple(big.motifs.keys())
-
-    if spec.kind == HH:
-        resolved = resolve_weights(big, spec.weights)
-        z = {}
-        for unit in big.frame:
-            z[unit] = sum((resolved[key][unit] * big.motifs.y(key)
-                           for key in big.successors(unit)), Fraction(0))
-        pi_unit = {unit: design.unit_inclusion(unit) for unit in big.frame}
-
-        def base(seeds: Iterable[str]) -> Fraction:
-            return sum((z[u] / pi_unit[u] for u in frozenset(seeds)), Fraction(0)) / div
-
-    elif spec.kind == HT:
-        term = {}
-        for key in keys:
-            pi = first_order_inclusion(design, big, key)
-            term[key] = big.motifs.y(key) / pi / div
-        beta = {key: big.ancestors(key) for key in keys}
-
-        def base(seeds: Iterable[str]) -> Fraction:
-            s0 = frozenset(seeds)
-            return sum((term[key] for key in keys if beta[key] & s0), Fraction(0))
-
-    else:
-        if big.acs is None:
-            raise DesignError("modified HT needs an adaptive-cluster Big")
-        edge_grids = big.acs.edge_grids
-        term = {}
-        for key in keys:
-            if key in edge_grids:
-                pi = 1 - design.exclusion([key])
-            else:
-                pi = first_order_inclusion(design, big, key)
-            term[key] = big.motifs.y(key) / pi / div
-        beta = {key: big.ancestors(key) for key in keys}
-
-        def base(seeds: Iterable[str]) -> Fraction:
-            s0 = frozenset(seeds)
-            total = Fraction(0)
-            for key in keys:
-                if not beta[key] & s0:
-                    continue
-                if key in edge_grids and key not in s0:
-                    continue
-                total += term[key]
-            return total
-
-    if not spec.rao_blackwell:
-        return base
-
-    alpha = {unit: big.successors(unit) for unit in big.frame}
-    partition: dict[frozenset[str], Fraction] = {}
-
-    def omega(seeds: frozenset[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for u in seeds:
-            out |= alpha[u]
-        return frozenset(out)
-
-    def conditioned(seeds: Iterable[str]) -> Fraction:
-        if not partition:
-            groups: dict[frozenset[str], tuple[Fraction, Fraction]] = {}
-            for s0, p in enumerate_design(design, cap=cap):
-                key = omega(s0)
-                num, den = groups.get(key, (Fraction(0), Fraction(0)))
-                groups[key] = (num + p * base(s0), den + p)
-            for key, (num, den) in groups.items():
-                partition[key] = num / den
-        return partition[omega(frozenset(seeds))]
-
-    return conditioned
+    return _Plan(design, big, spec).evaluator(cap)
 
 
 @dataclass(frozen=True)
@@ -404,7 +372,7 @@ class MomentSummary:
 
 
 def exact_moments(design: Design, big: Big, spec: EstimatorSpec,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> MomentSummary:
+                  cap: int | None = None) -> MomentSummary:
     """Expectation, variance and MSE by full enumeration of the design.
 
     Variance is the probability-weighted second central moment over the
@@ -414,7 +382,7 @@ def exact_moments(design: Design, big: Big, spec: EstimatorSpec,
     target = big.theta() / _scale_divisor(big, spec.scale)
     points = []
     expectation = Fraction(0)
-    for seeds, p in enumerate_design(design, cap=cap):
+    for seeds, p in design.enumerate(cap):
         est = evaluate(seeds)
         points.append((p, est))
         expectation += p * est
@@ -441,7 +409,7 @@ class MonteCarloSummary:
 
 def monte_carlo_moments(design: Design, big: Big, spec: EstimatorSpec,
                         replicates: int, seed: int,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> MonteCarloSummary:
+                        cap: int | None = None) -> MonteCarloSummary:
     """Estimate the design moments from seeded replicate draws."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -577,10 +545,8 @@ def induced_inclusion(design: Design, members: frozenset[str]) -> Fraction:
     return total
 
 
-def induced_ht_evaluator(motifs: MotifSet, design: Design,
-                         scale: str = TOTAL) -> Callable[[Iterable[str]], Fraction]:
-    """Seeds -> HT estimate when motifs are observed only if fully selected."""
-    div = len(design.frame) if scale == MEAN_PER_UNIT else 1
+def _induced_terms(motifs: MotifSet, design: Design) -> list[tuple[frozenset[str], Fraction, Fraction]]:
+    """(members, y, probability of full selection) per motif."""
     terms = []
     for m in motifs:
         if m.members is None:
@@ -589,7 +555,15 @@ def induced_ht_evaluator(motifs: MotifSet, design: Design,
         if pi == 0:
             raise DesignError(
                 f"motif {m.key!r} can never be fully selected under this design")
-        terms.append((m.members, motifs.y(m.key) / pi / div))
+        terms.append((m.members, motifs.y(m.key), pi))
+    return terms
+
+
+def induced_ht_evaluator(motifs: MotifSet, design: Design,
+                         scale: str = TOTAL) -> Callable[[Iterable[str]], Fraction]:
+    """Seeds -> HT estimate when motifs are observed only if fully selected."""
+    div = len(design.frame) if scale == MEAN_PER_UNIT else 1
+    terms = [(members, y / pi / div) for members, y, pi in _induced_terms(motifs, design)]
 
     def evaluate(seeds: Iterable[str]) -> Fraction:
         s0 = frozenset(seeds)
@@ -605,15 +579,7 @@ def induced_ht_moments(motifs: MotifSet, design: Design,
     Works from pairwise joint selection probabilities, so it stays cheap
     even when the design support is too large to enumerate."""
     div = len(design.frame) if scale == MEAN_PER_UNIT else 1
-    items = []
-    for m in motifs:
-        if m.members is None:
-            raise DesignError(f"motif {m.key!r} has no member set")
-        pi = induced_inclusion(design, m.members)
-        if pi == 0:
-            raise DesignError(
-                f"motif {m.key!r} can never be fully selected under this design")
-        items.append((m.members, motifs.y(m.key), pi))
+    items = _induced_terms(motifs, design)
     theta = sum((y for _, y, _ in items), Fraction(0))
     second = Fraction(0)
     for members_k, y_k, pi_k in items:

@@ -93,9 +93,8 @@ class Motif:
         return len(self.members)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def to_fraction(value) -> Fraction:
+    """Exact value of a number or numeric string; floats by their shortest repr."""
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -115,7 +114,7 @@ class MotifSet:
         unknown = set(y) - set(self._by_key)
         if unknown:
             raise ValueError(f"y-values for unknown motifs: {sorted(unknown)}")
-        self._y = {key: _as_fraction(y.get(key, 1)) for key in self._by_key}
+        self._y = {key: to_fraction(y.get(key, 1)) for key in self._by_key}
 
     def __iter__(self):
         return iter(self.motifs)
@@ -210,7 +209,7 @@ def _sym_geo(g: Graph, geo: GeodesicMatrix | None) -> GeodesicMatrix:
     return geo if geo is not None else geodesics(g.undirected_view())
 
 
-def _pair_rule_distance(members: frozenset[str], node: str, geo: GeodesicMatrix):
+def observation_distance(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatrix | None = None):
     """Snowball stages from one seed until every member pair is resolved.
 
     The snowball front after t stages is the geodesic ball of radius t, so
@@ -220,9 +219,12 @@ def _pair_rule_distance(members: frozenset[str], node: str, geo: GeodesicMatrix)
     member pairs, of the smaller of the two geodesic distances from the
     seed. A pair with both endpoints unreachable can never be observed.
     A singleton needs no pair resolution: stage 0 when it is the seed
-    itself, otherwise one stage past its geodesic distance.
+    itself, otherwise one stage past its geodesic distance. The seed may
+    be a member or not; the rule agrees with the stage-by-stage
+    simulation either way.
     """
-    ordered = sorted(members)
+    geo = _sym_geo(g, geo)
+    ordered = sorted(_members(motif))
     if len(ordered) == 1:
         m = ordered[0]
         if m == node:
@@ -239,45 +241,12 @@ def _pair_rule_distance(members: frozenset[str], node: str, geo: GeodesicMatrix)
     return worst + 1
 
 
-def observation_distance_internal(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatrix | None = None):
-    """Snowball stages needed to observe the motif starting from a member.
-
-    Exact for every member set: agrees with the stage-by-stage simulation
-    by construction. Infinite when some member pair has both endpoints
-    unreachable from ``node``.
-    """
-    members = _members(motif)
-    if node not in members:
-        raise ValueError(f"node {node!r} is not a member of motif {motif.key!r}")
-    return _pair_rule_distance(members, node, _sym_geo(g, geo))
-
-
-def observation_distance_external(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatrix | None = None):
-    """Snowball stages needed to observe the motif from a non-member.
-
-    Same pair-resolution rule as the internal distance; kept as a separate
-    entry point because feasibility reasoning treats member and
-    non-member ancestors differently.
-    """
-    members = _members(motif)
-    if node in members:
-        raise ValueError(f"node {node!r} is a member of motif {motif.key!r}")
-    return _pair_rule_distance(members, node, _sym_geo(g, geo))
-
-
-def observation_distance(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatrix | None = None):
-    """Dispatch to the internal or external observation distance."""
-    if node in _members(motif):
-        return observation_distance_internal(motif, node, g, geo=geo)
-    return observation_distance_external(motif, node, g, geo=geo)
-
-
 def observation_diameter(motif: Motif, g: Graph, *, geo: GeodesicMatrix | None = None):
     """Largest internal observation distance over the motif's members."""
     geo = _sym_geo(g, geo)
     worst = 0
     for node in sorted(_members(motif)):
-        d = observation_distance_internal(motif, node, g, geo=geo)
+        d = observation_distance(motif, node, g, geo=geo)
         if d == INFINITE:
             return INFINITE
         worst = max(worst, d)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .graph import Graph, INFINITE
+from .motifs import to_fraction
 
 INCIDENT = "incident"
 INDUCED = "induced"
@@ -146,12 +146,11 @@ class AcsObservation:
 def acs_sample(grid: Graph, y: Mapping[str, object], threshold, seeds: Iterable[str]) -> AcsObservation:
     """Adaptive cluster sampling: expand across above-threshold grids."""
     seeds = _check_seeds(grid, seeds)
-    thr = threshold if isinstance(threshold, Fraction) else Fraction(str(threshold))
+    thr = to_fraction(threshold)
     missing = [lab for lab in grid.labels if lab not in y]
     if missing:
         raise ValueError(f"missing y-values for grids: {missing}")
-    values = {lab: Fraction(str(y[lab])) if isinstance(y[lab], float) else Fraction(y[lab])
-              for lab in grid.labels}
+    values = {lab: to_fraction(y[lab]) for lab in grid.labels}
     observed = set(seeds)
     frontier = [u for u in sorted(seeds) if values[u] > thr]
     while frontier:

@@ -15,7 +15,7 @@ from bigs.big import acs_big, AncestorRule
 from bigs.builtins import builtin_population
 from bigs.cli import main
 from bigs.design import realize_sample_big
-from bigs.estimators import EstimatorSpec, modified_ht_acs, rao_blackwellize
+from bigs.estimators import EstimatorSpec, estimate, rao_blackwellize
 
 
 TOY_GRAPH = """\
@@ -148,6 +148,9 @@ def test_big_check_reports_violation_and_exits_one(capsys):
     data = json.loads(out)
     assert data["feasible"] is False
     assert any("observes motif" in v for v in data["violations"])
+    # Five structural checks plus nine empirical ones; the builtin's
+    # fallback design would add five frame-unit checks.
+    assert data["checks"] == 14
 
 
 def test_big_check_csv_format(tmp_path, capsys):
@@ -187,7 +190,7 @@ def test_sample_json_report_fields(capsys):
     pop = builtin_population("thompson1990")
     big = pop.bigs["acs-b"]
     sample = realize_sample_big(big, frozenset({"2", "10"}))
-    direct = modified_ht_acs(sample, pop.design, big)
+    direct = estimate(EstimatorSpec.parse("modified-ht"), pop.design, big, sample)
     rb = rao_blackwellize(EstimatorSpec.parse("modified-ht"), pop.design,
                           big, sample)
     assert data["results"][0]["estimate"] == float(direct.estimate)
@@ -378,6 +381,16 @@ def test_simulate_rejects_zero_replicates(capsys):
                            "--replicates", "0")
     assert code == 2
     assert "replicates" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_rejected(capsys, cap):
+    code, out, err = run_cli(capsys, "enumerate", "thompson1990",
+                             "--rule", "acs-b", "--estimator", "ht",
+                             "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert "cap must be >= 1" in err
 
 
 def test_reproduce_five_grid_table(capsys):

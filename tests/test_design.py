@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from bigs import (Design, DesignError, EnumerationCapError, ParseError,
-                  enumerate_design, exclusion_probability,
                   first_order_inclusion, parse_design_file,
                   realize_sample_big, second_order_inclusion, thompson1990)
 
@@ -63,7 +62,7 @@ def test_enumerated_design_validation():
 
 def test_enumeration_lists_all_samples_with_equal_probability():
     d = Design.srswor("abcd", 2)
-    got = dict(enumerate_design(d))
+    got = dict(d.enumerate())
     assert len(got) == 6
     assert set(got) == set(srswor_samples("abcd", 2))
     assert all(p == Fraction(1, 6) for p in got.values())
@@ -73,12 +72,12 @@ def test_enumeration_cap_refusal():
     big = Design.srswor([str(i) for i in range(40)], 20)
     assert big.size > 10_000_000
     with pytest.raises(EnumerationCapError, match="Monte Carlo"):
-        next(enumerate_design(big))
+        next(big.enumerate())
 
     small = Design.srswor("abcdef", 3)
     with pytest.raises(EnumerationCapError):
-        next(enumerate_design(small, cap=19))
-    assert len(list(enumerate_design(small, cap=20))) == 20
+        next(small.enumerate(cap=19))
+    assert len(list(small.enumerate(cap=20))) == 20
 
 
 def test_draw_is_seed_deterministic_and_in_support():
@@ -129,8 +128,8 @@ def test_inclusion_probabilities_match_enumeration_counts():
 
 def test_exclusion_probability_helper():
     d = Design.srswor("abcde", 2)
-    assert exclusion_probability(d, ["a"]) == Fraction(6, 10)
-    assert exclusion_probability(d, "abcde") == 0
+    assert d.exclusion(["a"]) == Fraction(6, 10)
+    assert d.exclusion("abcde") == 0
 
 
 def test_realize_sample_big_on_the_five_grid_population():

@@ -9,15 +9,17 @@ import pytest
 
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   EstimatorSpec, Graph, Motif, MotifSet, SampleBig, WeightError,
-                  WeightScheme, acs_big, delta_matrix, enumerate_design,
+                  WeightScheme, acs_big, delta_matrix, estimate,
                   exact_moments, hh_estimate, ht_estimate, induced_ht_evaluator,
-                  induced_ht_moments, induced_inclusion, modified_ht_acs,
+                  induced_ht_moments, induced_inclusion,
                   monte_carlo_moments, rao_blackwellize, realize_sample_big,
                   resolve_weights, sample_evaluator, srswor_equal_share_delta,
                   thompson1990, variance_difference)
 
 from oracles import (oracle_hh_moments, oracle_ht_moments,
                      oracle_induced_moments, random_incidence, srswor_samples)
+
+MODIFIED = EstimatorSpec.parse("modified-ht")
 
 
 def _make_big(frame, beta, y):
@@ -131,7 +133,7 @@ def test_hh_equals_ht_when_every_motif_has_one_ancestor():
     beta = {"x": ["a"], "y": ["b"], "z": ["b"]}
     big = _make_big(["a", "b", "c"], beta, {"x": 5, "y": 1, "z": 3})
     d = Design.srswor(big.frame, 2)
-    for seeds, _ in enumerate_design(d):
+    for seeds, _ in d.enumerate():
         sample = realize_sample_big(big, seeds)
         ht = ht_estimate(sample, d, big).estimate
         hh = hh_estimate(sample, d, big, WeightScheme.equal_share()).estimate
@@ -143,7 +145,7 @@ def test_modified_ht_needs_acs_context():
     d = Design.srswor(big.frame, 2)
     sample = realize_sample_big(big, ["a", "b"])
     with pytest.raises(DesignError, match="adaptive-cluster"):
-        modified_ht_acs(sample, d, big)
+        estimate(MODIFIED, d, big, sample)
 
 
 def test_modified_ht_equals_ht_without_edge_grids():
@@ -151,9 +153,9 @@ def test_modified_ht_equals_ht_without_edge_grids():
     big = acs_big(g, {"a": 9, "b": 9, "c": 1}, 5, AncestorRule.acs_b())
     assert big.acs.edge_grids == frozenset()
     d = Design.srswor(big.frame, 2)
-    for seeds, _ in enumerate_design(d):
+    for seeds, _ in d.enumerate():
         sample = realize_sample_big(big, seeds)
-        assert (modified_ht_acs(sample, d, big).estimate
+        assert (estimate(MODIFIED, d, big, sample).estimate
                 == ht_estimate(sample, d, big).estimate)
 
 
@@ -161,9 +163,9 @@ def test_modified_ht_equals_plain_ht_under_restricted_representation():
     pop = thompson1990()
     star = pop.bigs["acs-b-star"]
     b = pop.bigs["acs-b"]
-    for seeds, _ in enumerate_design(pop.design):
+    for seeds, _ in pop.design.enumerate():
         via_star = ht_estimate(realize_sample_big(star, seeds), pop.design, star)
-        via_mod = modified_ht_acs(realize_sample_big(b, seeds), pop.design, b)
+        via_mod = estimate(MODIFIED, pop.design, b, realize_sample_big(b, seeds))
         assert via_star.estimate == via_mod.estimate
 
 
@@ -171,11 +173,11 @@ def test_modified_ht_skips_unselected_edge_grids():
     pop = thompson1990()
     big = pop.bigs["acs-b"]
     sample = realize_sample_big(big, ["10", "1000"])
-    report = modified_ht_acs(sample, pop.design, big)
+    report = estimate(MODIFIED, pop.design, big, sample)
     assert "2" in sample.motifs
     assert "2" not in [k for k, _, _ in report.contributions]
 
-    direct = modified_ht_acs(realize_sample_big(big, ["2", "1"]), pop.design, big)
+    direct = estimate(MODIFIED, pop.design, big, realize_sample_big(big, ["2", "1"]))
     pi_direct = dict((k, p) for k, p, _ in direct.contributions)["2"]
     assert pi_direct == 1 - pop.design.exclusion(["2"])
 
@@ -230,12 +232,12 @@ def test_sample_evaluator_agrees_with_report_functions():
     hh_eval = sample_evaluator(d, big, EstimatorSpec.parse("hh:inverse-alpha"))
     mod_eval = sample_evaluator(d, big, EstimatorSpec.parse("modified-ht"))
     rb_eval = sample_evaluator(d, big, EstimatorSpec.parse("rb:modified-ht"))
-    for seeds, _ in enumerate_design(d):
+    for seeds, _ in d.enumerate():
         sample = realize_sample_big(big, seeds)
         assert ht_eval(seeds) == ht_estimate(sample, d, big).estimate
         assert hh_eval(seeds) == hh_estimate(
             sample, d, big, WeightScheme.inverse_alpha()).estimate
-        assert mod_eval(seeds) == modified_ht_acs(sample, d, big).estimate
+        assert mod_eval(seeds) == estimate(MODIFIED, d, big, sample).estimate
         assert rb_eval(seeds) == rao_blackwellize(
             EstimatorSpec.parse("modified-ht"), d, big, sample).estimate
 
@@ -381,7 +383,7 @@ def test_induced_ht_evaluator_and_moments():
         motifs = MotifSet([Motif(k, members_by_key[k]) for k in sorted(members_by_key)], y)
 
         evaluate = induced_ht_evaluator(motifs, d)
-        expectation = sum((p * evaluate(s) for s, p in enumerate_design(d)), Fraction(0))
+        expectation = sum((p * evaluate(s) for s, p in d.enumerate()), Fraction(0))
         assert expectation == motifs.total_y()
 
         got = induced_ht_moments(motifs, d)
@@ -399,3 +401,54 @@ def test_induced_ht_rejects_never_selected_motifs():
     nameless = MotifSet([Motif("m")])
     with pytest.raises(DesignError, match="no member set"):
         induced_ht_evaluator(nameless, d)
+
+
+@pytest.mark.parametrize("rule", ["acs-b", "acs-b-star", "acs-b-dagger"])
+def test_modified_ht_is_unbiased_under_every_acs_rule(rule):
+    pop = thompson1990()
+    big = pop.bigs[rule]
+    assert exact_moments(pop.design, big, MODIFIED).expectation == big.theta() == 1013
+
+
+def _random_acs_grid(rng):
+    rows, cols = rng.randint(1, 3), rng.randint(2, 3)
+    cells = [f"r{r}c{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"r{r}c{c}", f"r{r}c{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(rows - 1) for c in range(cols)]
+    y = {u: rng.choice([0, 0, 1, 2, 7, 40]) for u in cells}
+    return Graph(cells, edges), y
+
+
+def test_engine_modified_ht_is_ht_on_the_self_only_representation():
+    rng = random.Random(8642)
+    for _ in range(40):
+        grid, y = _random_acs_grid(rng)
+        b = acs_big(grid, y, 5, AncestorRule.acs_b())
+        star = acs_big(grid, y, 5, AncestorRule.acs_b_star())
+        d = Design.srswor(b.frame, rng.randint(1, 2))
+        rb_eval = sample_evaluator(d, b, EstimatorSpec.parse("rb:modified-ht"))
+        for seeds, _ in d.enumerate():
+            sample = realize_sample_big(b, seeds)
+            assert (estimate(MODIFIED, d, b, sample)
+                    == ht_estimate(realize_sample_big(star, seeds), d, star))
+            assert rao_blackwellize(MODIFIED, d, b, sample).estimate == rb_eval(seeds)
+
+
+def test_engine_reports_equal_evaluators_on_random_incidence_graphs():
+    rng = random.Random(97531)
+    for _ in range(25):
+        frame, beta, y = random_incidence(rng, max_frame=6, max_motifs=6)
+        big = _make_big(frame, beta, y)
+        d = Design.srswor(frame, rng.randint(1, len(frame)))
+        for label in ("ht", "hh:equal-share", "hh:inverse-alpha"):
+            spec = EstimatorSpec.parse(label)
+            evaluate = sample_evaluator(d, big, spec)
+            for seeds, _ in d.enumerate():
+                sample = realize_sample_big(big, seeds)
+                report = estimate(spec, d, big, sample)
+                assert report.estimate == evaluate(seeds)
+                rows = [row[0] for row in report.contributions]
+                if spec.kind == "hh":
+                    assert rows == [u for u in frame if u in seeds]
+                else:
+                    assert rows == list(sample.motifs)
