@@ -29,7 +29,8 @@ from .big import (AcsContext, AncestorRule, Big, FeasibilityReport, acs_big,
                   check_feasibility, dump_big, load_big, snowball_big)
 from .estimators import (DeltaMatrix, EstimatorReport, EstimatorSpec,
                          MomentSummary, MonteCarloSummary, WeightScheme,
-                         delta_matrix, estimate, exact_moments, hh_estimate,
+                         delta_matrix, enumerate_moments, estimate,
+                         exact_moments, hh_estimate,
                          ht_estimate, induced_ht_evaluator, induced_ht_moments,
                          induced_inclusion, monte_carlo_moments,
                          rao_blackwellize,
@@ -55,8 +56,8 @@ __all__ = [
     "AcsContext", "AncestorRule", "Big", "FeasibilityReport", "acs_big",
     "check_feasibility", "dump_big", "load_big", "snowball_big",
     "DeltaMatrix", "EstimatorReport", "EstimatorSpec", "MomentSummary",
-    "MonteCarloSummary", "WeightScheme", "delta_matrix", "estimate",
-    "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
+    "MonteCarloSummary", "WeightScheme", "delta_matrix", "enumerate_moments",
+    "estimate", "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
     "induced_ht_moments", "induced_inclusion", "monte_carlo_moments",
     "rao_blackwellize", "resolve_weights", "sample_evaluator",
     "srswor_equal_share_delta", "variance_difference",

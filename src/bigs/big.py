@@ -14,10 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InfeasibleError, ParseError
-from .graph import Graph, INFINITE, geodesics
-from .motifs import (Motif, MotifSet, ancestor_neighborhood, motif_diameter,
-                     observation_diameter, observation_distance, to_fraction)
-from .sampling import acs_sample, motif_observed, snowball_sample
+from .graph import Graph, INFINITE
+from .motifs import Motif, MotifSet, _observation_stage, to_fraction
+from .sampling import _observes, _reach, acs_sample
 
 FULL = "full"
 MOTIF_ONLY = "motif-only"
@@ -174,40 +173,58 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
     full:T uses every unit that observes the motif within T stages;
     motif-only uses the members, needing the largest observation diameter;
     motif-plus:t adds the geodesic-t neighborhood, needing the largest
-    motif diameter plus 2t stages.
+    motif diameter plus 2t stages. Distances ignore edge direction, and
+    every search stays inside a ball around the motif's members.
     """
     if rule.kind not in _SNOWBALL_KINDS:
         raise ValueError(f"rule {rule.label!r} is not a snowball rule")
-    sym = g.undirected_view()
-    geo = geodesics(sym)
+    nodes = frozenset(g.labels)
+    checked = []
     for m in motifs:
-        if m.members is None:
+        if not m.members:
             raise ValueError(f"motif {m.key!r} has no member set")
-        if not m.members <= frozenset(g.labels):
+        if not m.members <= nodes:
             raise ValueError(f"motif {m.key!r} has members outside the graph")
-        if observation_diameter(m, sym, geo=geo) == INFINITE:
+        members = [g.index_of(u) for u in m.members]
+        between = {}
+        for a in members:
+            reached = g._ball([a], targets=members)
+            between[a] = {b: reached.get(b, INFINITE) for b in members}
+        diameter = max(_observation_stage(a, between[a]) for a in members)
+        if diameter == INFINITE:
             raise InfeasibleError(
                 f"motif {m.key!r} has mutually unreachable member nodes; "
                 "no snowball sample can observe it from within")
+        checked.append((m, members, between, diameter))
 
     beta: dict[str, frozenset[str]] = {}
     if rule.kind == MOTIF_ONLY:
         stages = 0
-        for m in motifs:
+        for m, _, _, diameter in checked:
             beta[m.key] = m.members
-            stages = max(stages, observation_diameter(m, sym, geo=geo))
+            stages = max(stages, diameter)
     elif rule.kind == MOTIF_PLUS:
         stages = 0
-        for m in motifs:
-            beta[m.key] = m.members | ancestor_neighborhood(m, geo, rule.t)
-            stages = max(stages, motif_diameter(m, geo) + 2 * rule.t)
+        for m, members, between, _ in checked:
+            spread = max(d for row in between.values() for d in row.values())
+            if spread == INFINITE:
+                raise InfeasibleError(
+                    f"motif {m.key!r} has member nodes in different components; "
+                    f"{rule.label} needs a finite motif diameter")
+            beta[m.key] = frozenset(g.labels[u] for u in g._ball(members, rule.t))
+            stages = max(stages, spread + 2 * rule.t)
     else:
         if rule.t is None:
             raise ValueError("full rule needs an explicit stage horizon")
         stages = rule.t
-        for m in motifs:
-            anc = frozenset(u for u in g.labels
-                            if observation_distance(m, u, sym, geo=geo) <= stages)
+        for m, members, _, _ in checked:
+            # A unit observes the motif within T stages only if it lies
+            # within T-1 of a member, or is the member of a singleton.
+            balls = {a: g._ball([a], max(stages - 1, 0)) for a in members}
+            anc = frozenset(
+                g.labels[u] for u in frozenset().union(*balls.values())
+                if _observation_stage(u, {a: ball.get(u, INFINITE)
+                                          for a, ball in balls.items()}) <= stages)
             if not anc:
                 raise InfeasibleError(
                     f"no unit observes motif {m.key!r} within {stages} stages")
@@ -439,20 +456,25 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             # assumes the analyst knows the observation distances, so only
             # the observation guarantee is verified for it.
             verify_reach = big.rule.kind in (MOTIF_ONLY, MOTIF_PLUS)
+            labels = graph.labels
             for i in big.frame:
-                sample = snowball_sample(graph, [i], horizon)
+                # A single seed resolves the ball of radius horizon-1 and
+                # observes the ball of radius horizon.
+                seeds, ball = _reach(graph, [i], horizon)
+                nodes = {labels[u] for u in ball}
+                resolved = {labels[u] for u, wave in ball.items() if wave < horizon}
                 for k in sorted(big.successors(i)):
                     checks += 1
                     m = big.motifs.get(k)
-                    if m.members is None:
+                    if not m.members:
                         violations.append(f"motif {k!r} has no member set to check")
                         continue
-                    if not motif_observed(sample, m.members):
+                    if not _observes(m.members, seeds, resolved):
                         violations.append(
                             f"selecting {i!r} does not observe motif {k!r} "
                             f"within {horizon} stages")
                     if verify_reach:
-                        missing = big.ancestors(k) - sample.nodes
+                        missing = big.ancestors(k) - nodes
                         if missing:
                             violations.append(
                                 f"selecting {i!r} observes motif {k!r} but not "

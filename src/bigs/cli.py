@@ -31,8 +31,8 @@ from .builtins import (BUILTIN_NAMES, TABLE4_BIGS, THOMPSON1990,
                        builtin_population, reproduce)
 from .design import Design, parse_design_file, realize_sample_big
 from .errors import BigsError
-from .estimators import (INV_ALPHA, EstimatorSpec, WeightScheme, estimate,
-                         exact_moments, monte_carlo_moments, sample_evaluator)
+from .estimators import (INV_ALPHA, EstimatorSpec, WeightScheme, enumerate_moments,
+                         estimate, monte_carlo_moments)
 from .graph import Graph, load_edge_list
 from .motifs import Motif, MotifClass, MotifSet, enumerate_motifs
 
@@ -367,7 +367,7 @@ def _run_sample(cfg: ExperimentConfig) -> int:
     specs = _estimator_specs(cfg, resolved.alpha_sizes)
     seed = None
     if cfg.seeds:
-        s0 = frozenset(cfg.seeds)
+        s0 = design.require_support(cfg.seeds)
     else:
         seed = cfg.seed if cfg.seed is not None else _new_seed()
         s0 = design.draw(random.Random(seed))
@@ -402,21 +402,17 @@ def _run_enumerate(cfg: ExperimentConfig) -> int:
     big = resolved.big
     design = _require_design(cfg, resolved)
     specs = _estimator_specs(cfg, resolved.alpha_sizes)
-    summaries = [(spec, exact_moments(design, big, spec, cap=cfg.cap)) for spec in specs]
+    samples = [] if _wants_json(cfg) else None
+    summaries = list(zip(specs, enumerate_moments(design, big, specs, cap=cfg.cap,
+                                                  samples=samples)))
     header = ["estimator", "scale", "expectation", "variance", "mse", "support"]
     rows = [[spec.label, spec.scale, _fmt(mom.expectation), _fmt(mom.variance),
              _fmt(mom.mse), str(mom.support)] for spec, mom in summaries]
-    if _wants_json(cfg):
-        evaluators = [(spec, sample_evaluator(design, big, spec, cap=cfg.cap))
-                      for spec in specs]
-        table = []
-        for s0, p in design.enumerate(cfg.cap):
-            entry = {"sample": sorted(s0), "probability": str(p), "estimates": {}}
-            for spec, evaluate in evaluators:
-                est = evaluate(s0)
-                entry["estimates"][spec.label] = {"value": float(est),
-                                                  "exact": str(est)}
-            table.append(entry)
+    if samples is not None:
+        table = [{"sample": sorted(s0), "probability": str(p),
+                  "estimates": {spec.label: {"value": float(est), "exact": str(est)}
+                                for spec, est in zip(specs, estimates)}}
+                 for s0, p, estimates in samples]
         body = {"big": resolved.big_label,
                 "results": [
                     {"estimator": spec.label, "scale": spec.scale,

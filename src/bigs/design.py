@@ -112,6 +112,21 @@ class Design:
             return Fraction(self.n * (self.n - 1), N * (N - 1))
         return sum((p for s, p in self.points if u in s and v in s), Fraction(0))
 
+    def require_support(self, sample: Iterable[str]) -> frozenset[str]:
+        """The sample as a set; DesignError unless the design can draw it."""
+        sample = frozenset(str(u) for u in sample)
+        if self.kind == SRSWOR:
+            outside = sample - self._frame_set
+            if outside:
+                raise DesignError(f"initial sample has units outside the frame: {sorted(outside)}")
+            if len(sample) != self.n:
+                raise DesignError(f"initial sample has size {len(sample)}; "
+                                  f"this SRSWOR design draws samples of size {self.n}")
+        elif all(sample != point for point, _ in self.points):
+            raise DesignError(f"initial sample {sorted(sample)} is not a support point "
+                              "of the design")
+        return sample
+
     def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
         """Yield (initial sample, probability) over the whole support.
 

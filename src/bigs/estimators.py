@@ -371,24 +371,45 @@ class MomentSummary:
         return self.expectation - self.target
 
 
+def enumerate_moments(design: Design, big: Big, specs: Iterable[EstimatorSpec],
+                      cap: int | None = None,
+                      samples: list | None = None) -> list[MomentSummary]:
+    """Exact moments of each spec from one walk over the design support.
+
+    The walk accumulates Σp·x and Σp·x² per spec, so no support point is
+    kept, unless ``samples`` is a list: each point is then appended to it
+    as (initial sample, probability, one estimate per spec).
+    """
+    specs = list(specs)
+    evaluators = [sample_evaluator(design, big, spec, cap=cap) for spec in specs]
+    first = [Fraction(0)] * len(specs)
+    second = [Fraction(0)] * len(specs)
+    support = 0
+    for seeds, p in design.enumerate(cap):
+        estimates = tuple(evaluate(seeds) for evaluate in evaluators)
+        for j, est in enumerate(estimates):
+            weighted = p * est
+            first[j] += weighted
+            second[j] += weighted * est
+        support += 1
+        if samples is not None:
+            samples.append((seeds, p, estimates))
+    summaries = []
+    for spec, mean, square in zip(specs, first, second):
+        # The probabilities sum to exactly one, so these equal the
+        # probability-weighted squared deviations from the mean and target.
+        target = big.theta() / _scale_divisor(big, spec.scale)
+        summaries.append(MomentSummary(mean, square - mean * mean,
+                                       square - 2 * target * mean + target * target,
+                                       target, spec.scale, support))
+    return summaries
+
+
 def exact_moments(design: Design, big: Big, spec: EstimatorSpec,
                   cap: int | None = None) -> MomentSummary:
-    """Expectation, variance and MSE by full enumeration of the design.
-
-    Variance is the probability-weighted second central moment over the
-    design support.
-    """
-    evaluate = sample_evaluator(design, big, spec, cap=cap)
-    target = big.theta() / _scale_divisor(big, spec.scale)
-    points = []
-    expectation = Fraction(0)
-    for seeds, p in design.enumerate(cap):
-        est = evaluate(seeds)
-        points.append((p, est))
-        expectation += p * est
-    variance = sum((p * (est - expectation) ** 2 for p, est in points), Fraction(0))
-    mse = sum((p * (est - target) ** 2 for p, est in points), Fraction(0))
-    return MomentSummary(expectation, variance, mse, target, spec.scale, len(points))
+    """Expectation, variance and MSE by full enumeration of the design."""
+    (summary,) = enumerate_moments(design, big, [spec], cap)
+    return summary
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,33 @@ class Graph:
                 if self.directed or i < j:
                     yield (self.labels[i], self.labels[j])
 
+    def _ball(self, sources: Iterable[int], depth: int | None = None,
+              targets: Iterable[int] | None = None) -> dict[int, int]:
+        """Breadth-first distances, ignoring direction, from the source indices.
+
+        Keys are node indices in discovery order. The search stops after
+        ``depth`` levels, or at the end of the level that reaches the last
+        of ``targets``; nodes it did not reach are absent.
+        """
+        dist = dict.fromkeys(sources, 0)
+        pending = None if targets is None else set(targets).difference(dist)
+        adjacency = (self._out, self._in) if self.directed else (self._out,)
+        frontier = list(dist)
+        level = 0
+        while frontier and (depth is None or level < depth) and (pending is None or pending):
+            level += 1
+            reached = []
+            for u in frontier:
+                for adj in adjacency:
+                    for v in adj[u]:
+                        if v not in dist:
+                            dist[v] = level
+                            reached.append(v)
+            if pending is not None:
+                pending.difference_update(reached)
+            frontier = reached
+        return dist
+
     def undirected_view(self) -> "Graph":
         """The graph with every arc made reciprocal; self if undirected."""
         if not self.directed:
@@ -165,23 +192,13 @@ def geodesics(g: Graph) -> GeodesicMatrix:
 
 def connected_components(g: Graph) -> tuple[frozenset[str], ...]:
     """Weakly connected components, in first-appearance order."""
-    n = g.n_nodes
-    seen = [False] * n
+    seen: set[int] = set()
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for j in g._out[cur] | g._in[cur]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(frozenset(g.labels[i] for i in comp))
+    for start in range(g.n_nodes):
+        if start not in seen:
+            comp = g._ball([start])
+            seen.update(comp)
+            comps.append(frozenset(g.labels[i] for i in comp))
     return tuple(comps)
 
 

@@ -188,7 +188,7 @@ def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] 
 
 
 def _members(motif: Motif) -> frozenset[str]:
-    if motif.members is None:
+    if not motif.members:
         raise ValueError(f"motif {motif.key!r} has no member set")
     return motif.members
 
@@ -224,21 +224,19 @@ def observation_distance(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatr
     simulation either way.
     """
     geo = _sym_geo(g, geo)
-    ordered = sorted(_members(motif))
-    if len(ordered) == 1:
-        m = ordered[0]
-        if m == node:
-            return 0
-        d = geo.distance(node, m)
-        return INFINITE if d == INFINITE else d + 1
-    dists = {j: geo.distance(node, j) for j in ordered}
-    worst = 0
-    for a, b in itertools.combinations(ordered, 2):
-        reach = min(dists[a], dists[b])
-        if reach == INFINITE:
-            return INFINITE
-        worst = max(worst, reach)
-    return worst + 1
+    return _observation_stage(node, {j: geo.distance(node, j) for j in _members(motif)})
+
+
+def _observation_stage(node, distance: Mapping):
+    """The rule of ``observation_distance``, from the seed's distance to each member.
+
+    Over member pairs, the largest smaller-of-two distance is the second
+    largest distance overall; it is INFINITE when two members are unreachable.
+    """
+    if len(distance) == 1:
+        ((member, d),) = distance.items()
+        return 0 if member == node else d + 1
+    return sorted(distance.values())[-2] + 1
 
 
 def observation_diameter(motif: Motif, g: Graph, *, geo: GeodesicMatrix | None = None):

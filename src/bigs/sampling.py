@@ -45,30 +45,35 @@ def _check_seeds(g: Graph, seeds: Iterable[str]) -> frozenset[str]:
     return seeds
 
 
+def _reach(g: Graph, seeds: Iterable[str], stages: int) -> tuple[frozenset[str], dict[int, int]]:
+    """The checked seed set and its ball of radius ``stages``: node index -> wave."""
+    if stages < 0:
+        raise ValueError("stages must be >= 0")
+    seeds = _check_seeds(g, seeds)
+    return seeds, g._ball([g.index_of(s) for s in seeds], stages)
+
+
 def snowball_sample(g: Graph, seeds: Iterable[str], stages: int) -> SampleGraph:
     """Run T-stage snowball sampling from the seed set.
 
     Wave t holds the nodes first seen at stage t (wave 0 is the seed set).
-    With stages=0 nothing is observed: no edges, no resolved nodes.
+    With stages=0 nothing is observed: no edges, no resolved nodes. Only
+    the ball of radius T around the seeds is visited.
     """
-    if stages < 0:
-        raise ValueError("stages must be >= 0")
-    seeds = _check_seeds(g, seeds)
-    waves: dict[str, int] = {s: 0 for s in seeds}
-    current = set(seeds)
-    resolved: frozenset[str] = frozenset()
-    for t in range(1, stages + 1):
-        resolved = frozenset(current)
-        fresh = set()
-        for u in current:
-            for v in g.incident(u):
-                if v not in waves:
-                    waves[v] = t
-                    fresh.add(v)
-        current |= fresh
-    edges = frozenset((u, v) for u, v in g.edges() if u in resolved or v in resolved)
-    nodes = seeds | {u for e in edges for u in e}
-    return SampleGraph(INCIDENT, seeds, stages, frozenset(nodes), edges, resolved, waves)
+    seeds, ball = _reach(g, seeds, stages)
+    labels = g.labels
+    resolved = [i for i, wave in ball.items() if wave < stages]
+    edges = set()
+    for i in resolved:
+        for j in g._out[i]:
+            edges.add((labels[i], labels[j]) if g.directed or i < j else (labels[j], labels[i]))
+        if g.directed:
+            edges.update((labels[j], labels[i]) for j in g._in[i])
+    # Every node within T stages is the endpoint of an edge to a resolved
+    # node, so the observed nodes are exactly the ball.
+    waves = {labels[i]: wave for i, wave in ball.items()}
+    return SampleGraph(INCIDENT, seeds, stages, frozenset(waves), frozenset(edges),
+                       frozenset(labels[i] for i in resolved), waves)
 
 
 def induced_sample(g: Graph, selected: Iterable[str]) -> SampleGraph:
@@ -86,15 +91,24 @@ def motif_observed(sample: SampleGraph, members: Iterable[str]) -> bool:
     incident-reciprocal snowball a pair is known when either endpoint is
     resolved; a singleton motif needs its node seeded or resolved.
     """
-    members = sorted(frozenset(members))
+    members = frozenset(members)
     if not members:
         raise ValueError("empty member set")
     if sample.mode == INDUCED:
-        return all(m in sample.seeds for m in members)
+        return members <= sample.seeds
+    return _observes(members, sample.seeds, sample.resolved)
+
+
+def _observes(members: frozenset[str], seeds, resolved) -> bool:
+    """The incident-reciprocal rule of ``motif_observed``.
+
+    Every member pair has a resolved endpoint exactly when at most one
+    member is unresolved.
+    """
     if len(members) == 1:
-        return members[0] in sample.seeds or members[0] in sample.resolved
-    return all(u in sample.resolved or v in sample.resolved
-               for u, v in itertools.combinations(members, 2))
+        (member,) = members
+        return member in seeds or member in resolved
+    return len(members - resolved) <= 1
 
 
 def snowball_observation_distance(g: Graph, seeds: Iterable[str], members: Iterable[str],

@@ -99,6 +99,102 @@ def simulate_snowball_observation(adj, node, members, limit):
     return INF
 
 
+def first_appearance(nodes, edges):
+    """Node order: the listed nodes, then edge endpoints as they appear."""
+    order = {}
+    for u in list(nodes) + [w for e in edges for w in e]:
+        order.setdefault(u, len(order))
+    return list(order)
+
+
+def oracle_snowball_sample(nodes, edges, directed, seeds, stages):
+    """T-stage snowball by whole-graph scans: (nodes, edges, resolved, waves).
+
+    Edges are followed both ways. An observed edge keeps its given
+    orientation on a directed graph; an undirected one is written with
+    its endpoints in first-appearance order.
+    """
+    order = {u: i for i, u in enumerate(first_appearance(nodes, edges))}
+    adj = build_adjacency(order, edges)
+    waves = {s: 0 for s in seeds}
+    current = set(seeds)
+    resolved = set()
+    for stage in range(1, stages + 1):
+        resolved = set(current)
+        for u in list(current):
+            for v in adj[u]:
+                if v not in waves:
+                    waves[v] = stage
+                    current.add(v)
+    oriented = [(u, v) if directed or order[u] < order[v] else (v, u) for u, v in edges]
+    observed = {e for e in oriented if e[0] in resolved or e[1] in resolved}
+    seen = set(seeds) | {u for e in observed for u in e}
+    return seen, observed, resolved, waves
+
+
+def pair_rule_observed(members, seeds, resolved):
+    """Snowball rule: every member pair has a resolved endpoint; a
+    singleton is seeded or resolved."""
+    members = sorted(members)
+    if len(members) == 1:
+        return members[0] in seeds or members[0] in resolved
+    return all(a in resolved or b in resolved
+               for a, b in itertools.combinations(members, 2))
+
+
+def oracle_snowball_big(nodes, edges, members_by_key, kind, t):
+    """(ancestor sets, stages required) of a snowball BIG from all-pairs
+    distances, or None when the rule cannot represent some motif.
+
+    kind is "full" (horizon t), "motif-only" or "motif-plus" (radius t).
+    """
+    nodes = first_appearance(nodes, edges)
+    adj = build_adjacency(nodes, edges)
+    dist = all_pairs_shortest(nodes, edges)
+    beta = {}
+    stages = t if kind == "full" else 0
+    for key, members in members_by_key.items():
+        internal = [observation_stage_oracle(adj, u, members) for u in members]
+        if INF in internal:
+            return None
+        if kind == "motif-only":
+            beta[key] = frozenset(members)
+            stages = max(stages, max(internal))
+        elif kind == "motif-plus":
+            diameter = max(dist[(a, b)] for a in members for b in members)
+            if diameter == INF:
+                return None
+            beta[key] = frozenset(u for u in nodes
+                                  if min(dist[(u, a)] for a in members) <= t)
+            stages = max(stages, diameter + 2 * t)
+        else:
+            beta[key] = frozenset(u for u in nodes
+                                  if observation_stage_oracle(adj, u, members) <= t)
+            if not beta[key]:
+                return None
+    return beta, stages
+
+
+def oracle_snowball_feasibility(nodes, edges, members_by_key, beta, horizon, verify_reach):
+    """(violations, checks) of the snowball feasibility check: one check
+    per motif, then one per (unit, successor) pair, units in frame order."""
+    frame = first_appearance(nodes, edges)
+    violations = []
+    checks = len(beta)
+    for i in frame:
+        seen, _, resolved, _ = oracle_snowball_sample(nodes, edges, False, [i], horizon)
+        for k in sorted(key for key, anc in beta.items() if i in anc):
+            checks += 1
+            if not pair_rule_observed(members_by_key[k], {i}, resolved):
+                violations.append(f"selecting {i!r} does not observe motif {k!r} "
+                                  f"within {horizon} stages")
+            missing = beta[k] - seen
+            if verify_reach and missing:
+                violations.append(f"selecting {i!r} observes motif {k!r} but not "
+                                  f"its ancestors {sorted(missing)}")
+    return violations, checks
+
+
 def count_induced_occurrences(nodes, edges, pattern_nodes, pattern_edges):
     """Count node subsets whose induced subgraph is isomorphic to the
     pattern, by trying every permutation."""

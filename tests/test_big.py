@@ -130,6 +130,18 @@ def test_snowball_big_rejects_unobservable_motifs():
         snowball_big(g, motifs, AncestorRule.motif_only())
 
 
+def test_motif_plus_refuses_a_motif_split_across_components():
+    g = Graph(edges=[("a", "b"), ("c", "d")])
+    motifs = MotifSet([Motif("m", frozenset({"a", "c"}))])
+    with pytest.raises(InfeasibleError, match="'m'.*different components"):
+        snowball_big(g, motifs, AncestorRule.parse("motif-plus:1"))
+    # Seeding either member resolves it, which settles the missing pair.
+    only = snowball_big(g, motifs, AncestorRule.motif_only())
+    assert only.ancestors("m") == {"a", "c"}
+    assert only.stages_required == 1
+    assert snowball_big(g, motifs, AncestorRule.full(2)).ancestors("m") == {"a", "b", "c", "d"}
+
+
 def test_snowball_big_rejects_acs_rules_and_vice_versa():
     motifs = MotifSet([Motif("m", frozenset(["a"]))])
     with pytest.raises(ValueError, match="not a snowball rule"):

@@ -14,7 +14,7 @@ import pytest
 from bigs.big import acs_big, AncestorRule
 from bigs.builtins import builtin_population
 from bigs.cli import main
-from bigs.design import realize_sample_big
+from bigs.design import Design, realize_sample_big
 from bigs.estimators import EstimatorSpec, estimate, rao_blackwellize
 
 
@@ -257,6 +257,28 @@ def test_sample_without_design_is_an_error(tmp_path, capsys):
     assert json.loads(out)["results"][0]["exact"] == "4"
 
 
+def test_sample_refuses_seeds_outside_the_design_support(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sample", "thompson1990", "--rule", "acs-b-star",
+                             "--estimator", "ht", "--seeds", "1", "2", "10")
+    assert (code, out) == (2, "")
+    assert "size 3" in err and "size 2" in err
+    code, _, err = run_cli(capsys, "sample", "thompson1990", "--rule", "acs-b-star",
+                           "--estimator", "ht", "--seeds", "1", "99")
+    assert code == 2
+    assert "outside the frame" in err
+
+    design_path = tmp_path / "three-point.design"
+    design_path.write_text("1/4: 1 0\n1/2: 2 10\n1/4: 0 1000\n")
+    argv = ("sample", "thompson1990", "--rule", "acs-b-star", "--estimator", "ht",
+            "--design", str(design_path), "--seeds")
+    code, out, err = run_cli(capsys, *argv, "1", "2")
+    assert (code, out) == (2, "")
+    assert "not a support point" in err
+    code, out, _ = run_cli(capsys, *argv, "10", "2")
+    assert code == 0
+    assert json.loads(out)["initial_sample"] == ["10", "2"]
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"input": "thompson1990",
@@ -333,6 +355,26 @@ def test_enumerate_json_lists_every_sample(tmp_path, capsys):
     assert len(data["samples"]) == 10
     assert all(entry["probability"] == "1/10" for entry in data["samples"])
     assert all("exact" in entry["estimates"]["ht"] for entry in data["samples"])
+
+
+def test_enumerate_json_walks_the_design_once_per_compile(tmp_path, capsys, monkeypatch):
+    calls = []
+    walk = Design.enumerate
+
+    def counted(self, cap=None):
+        calls.append(cap)
+        return walk(self, cap)
+
+    monkeypatch.setattr(Design, "enumerate", counted)
+    out_path = tmp_path / "rb.json"
+    code, _, _ = run_cli(capsys, "enumerate", "thompson1990", "--rule", "acs-b",
+                         "--estimator", "rb:modified-ht", "--out", str(out_path))
+    assert code == 0
+    # One walk groups the Rao-Blackwell means, one fills the table and moments.
+    assert len(calls) == 2
+    data = json.loads(out_path.read_text())
+    assert len(data["samples"]) == data["results"][0]["support"] == 10
+    assert data["results"][0]["exact"]["expectation"] == "1013"
 
 
 def test_enumerate_accepts_design_file(tmp_path, capsys):
