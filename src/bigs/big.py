@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from .errors import InfeasibleError, ParseError
 from .graph import Graph, INFINITE
 from .motifs import Motif, MotifSet, _observation_stage, to_fraction
-from .sampling import _observes, _reach, acs_sample
+from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
 
 FULL = "full"
 MOTIF_ONLY = "motif-only"
@@ -244,11 +244,8 @@ def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule)
     """
     if rule.kind not in _ACS_KINDS:
         raise ValueError(f"rule {rule.label!r} is not an adaptive-cluster rule")
-    missing = [u for u in grid.labels if u not in y]
-    if missing:
-        raise ValueError(f"missing y-values for grids: {missing}")
+    values = _acs_values(grid, y)
     thr = to_fraction(threshold)
-    values = {u: to_fraction(y[u]) for u in grid.labels}
     above = {u for u in grid.labels if values[u] > thr}
 
     networks: list[frozenset[str]] = []
@@ -431,11 +428,13 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             if big.acs is None:
                 violations.append("adaptive-cluster Big lacks its grid context")
             else:
-                y = {key: big.motifs.y(key) for key in big.motifs.keys()}
+                # One expansion per unit serves all of its motifs.
+                values = _acs_values(graph, {key: big.motifs.y(key) for key in big.motifs.keys()})
+                thr = to_fraction(big.acs.threshold)
                 for i in big.frame:
+                    obs = _acs_expand(graph, values, thr, _check_seeds(graph, [i]))
                     for k in sorted(big.successors(i)):
                         checks += 1
-                        obs = acs_sample(graph, y, big.acs.threshold, [i])
                         if k not in obs.observed:
                             violations.append(
                                 f"selecting {i!r} does not observe motif {k!r}")

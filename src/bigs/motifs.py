@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import design
+from .errors import EnumerationCapError
 from .graph import Graph, GeodesicMatrix, INFINITE, connected_components, geodesics
 
 # name -> (order, number of edges, sorted degree sequence). Each pattern is
@@ -155,36 +157,77 @@ class MotifSet:
         return f"<MotifSet |Omega|={len(self.motifs)}>"
 
 
-def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] | None = None) -> MotifSet:
+def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] | None = None,
+                     *, cap: int | None = None) -> MotifSet:
     """All motifs of the given class in ``g``, in deterministic order.
 
     Pattern classes match induced subgraphs on the symmetrized graph, so a
     two-star is three nodes with exactly two edges among them (a triangle
-    does not match). The component class returns whole weakly connected
+    does not match). Every pattern is connected, so only connected node
+    subsets of the pattern's order are grown and tested; motifs are listed
+    in the lexicographic order of their members' node indices. Growing more
+    than ``cap`` such subsets (DEFAULT_ENUMERATION_CAP when None) raises
+    EnumerationCapError. The component class returns whole weakly connected
     components with at most max_order nodes.
     """
     sym = g.undirected_view()
-    found: list[frozenset[str]] = []
     if motif_class.is_component:
-        for comp in connected_components(sym):
-            if len(comp) <= motif_class.max_order:
-                found.append(comp)
+        found = [comp for comp in connected_components(sym) if len(comp) <= motif_class.max_order]
     else:
-        order, n_edges, signature = _PATTERNS[motif_class.name]
-        if order <= sym.n_nodes:
-            for combo in itertools.combinations(sym.labels, order):
-                degs = [0] * order
-                edges = 0
-                for a, b in itertools.combinations(range(order), 2):
-                    if sym.has_edge(combo[a], combo[b]):
-                        edges += 1
-                        degs[a] += 1
-                        degs[b] += 1
-                if edges == n_edges and tuple(sorted(degs)) == signature:
-                    found.append(frozenset(combo))
+        cap = design.DEFAULT_ENUMERATION_CAP if cap is None else cap
+        labels = sym.labels
+        found = [frozenset(labels[i] for i in hit)
+                 for hit in sorted(_pattern_hits(sym._out, motif_class, cap))]
     tag = motif_class.label
     motifs = [Motif(f"{tag}-{i}", members, motif_class) for i, members in enumerate(found)]
     return MotifSet(motifs, y)
+
+
+def _pattern_hits(adj, motif_class: MotifClass, cap: int) -> list[tuple[int, ...]]:
+    """Index tuples, each sorted, of the node subsets that induce the pattern.
+
+    ESU (Wernicke, "Efficient detection of network motifs", IEEE/ACM TCBB
+    2006) grows each connected subset of the pattern's order exactly once,
+    from its smallest node: a subset is extended only by nodes above that
+    root which are not already adjacent to it, so no subset is reached
+    twice. A subset matches when its sorted internal degrees equal the
+    pattern's; they fix its edge count too.
+    """
+    order, _, signature = _PATTERNS[motif_class.name]
+    signature = list(signature)
+    hits: list[tuple[int, ...]] = []
+    grown = 0
+
+    def extend(sub: list[int], closed: frozenset[int], ext: list[int], root: int):
+        nonlocal grown
+        if len(sub) == order - 1:
+            # Every candidate completes one subset: classify them in place.
+            grown += len(ext)
+            if grown > cap:
+                raise EnumerationCapError(
+                    f"{motif_class.name} enumeration grew {grown} connected subsets of "
+                    f"{order} nodes, above the cap of {cap}")
+            members = set(sub)
+            inner = [len(adj[u] & members) for u in sub]
+            for w in ext:
+                nbrs = adj[w]
+                degs = [d + 1 if u in nbrs else d for u, d in zip(sub, inner)]
+                degs.append(len(nbrs & members))
+                degs.sort()
+                if degs == signature:
+                    hits.append(tuple(sorted(sub + [w])))
+            return
+        while ext:
+            w = ext.pop()
+            extend(sub + [w], closed | adj[w],
+                   ext + [u for u in adj[w] if u > root and u not in closed], root)
+
+    if order == 1:
+        extend([], frozenset(), list(range(len(adj))), -1)
+    else:
+        for v, nbrs in enumerate(adj):
+            extend([v], nbrs | {v}, [u for u in nbrs if u > v], v)
+    return hits
 
 
 def _members(motif: Motif) -> frozenset[str]:

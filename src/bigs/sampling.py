@@ -160,11 +160,19 @@ class AcsObservation:
 def acs_sample(grid: Graph, y: Mapping[str, object], threshold, seeds: Iterable[str]) -> AcsObservation:
     """Adaptive cluster sampling: expand across above-threshold grids."""
     seeds = _check_seeds(grid, seeds)
-    thr = to_fraction(threshold)
+    return _acs_expand(grid, _acs_values(grid, y), to_fraction(threshold), seeds)
+
+
+def _acs_values(grid: Graph, y: Mapping[str, object]) -> dict:
+    """Every grid's exact y-value; refuses a grid without one."""
     missing = [lab for lab in grid.labels if lab not in y]
     if missing:
         raise ValueError(f"missing y-values for grids: {missing}")
-    values = {lab: to_fraction(y[lab]) for lab in grid.labels}
+    return {lab: to_fraction(y[lab]) for lab in grid.labels}
+
+
+def _acs_expand(grid: Graph, values: Mapping, thr, seeds: frozenset[str]) -> AcsObservation:
+    """``acs_sample`` on checked seeds, exact values and an exact threshold."""
     observed = set(seeds)
     frontier = [u for u in sorted(seeds) if values[u] > thr]
     while frontier:

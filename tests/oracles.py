@@ -226,6 +226,74 @@ PATTERNS = {
 }
 
 
+def oracle_pattern_motifs(nodes, edges, name):
+    """Member sets of the induced copies of a pattern, by testing every
+    node combination.
+
+    Combinations run over the nodes in first-appearance order, so the list
+    comes out in the lexicographic order of node positions. Edges count in
+    both directions; a subset matches when its edge count and sorted
+    internal degrees equal the pattern's.
+    """
+    pattern_nodes, pattern_edges = PATTERNS[name]
+    k = len(pattern_nodes)
+    want = sorted(sum(p in e for e in pattern_edges) for p in pattern_nodes)
+    order = first_appearance(nodes, edges)
+    adj = build_adjacency(order, edges)
+    found = []
+    for combo in itertools.combinations(order, k):
+        degs = [0] * k
+        n_edges = 0
+        for a, b in itertools.combinations(range(k), 2):
+            if combo[b] in adj[combo[a]]:
+                n_edges += 1
+                degs[a] += 1
+                degs[b] += 1
+        if n_edges == len(pattern_edges) and sorted(degs) == want:
+            found.append(frozenset(combo))
+    return found
+
+
+def acs_expansion(adj, y, threshold, seed):
+    """Grids surveyed from one selected grid: every neighbour of an
+    above-threshold surveyed grid is surveyed too."""
+    observed = {seed}
+    stack = [seed] if y[seed] > threshold else []
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in observed:
+                observed.add(v)
+                if y[v] > threshold:
+                    stack.append(v)
+    return observed
+
+
+def oracle_acs_feasibility(nodes, edges, y, threshold, beta):
+    """The structural and empirical checks of an adaptive-cluster BIG,
+    pair by pair: a fresh expansion for every (unit, successor) pair.
+
+    ``nodes`` is the frame in order and ``beta`` maps each motif key, in
+    motif order, to its ancestor set. Returns (violations, checks).
+    """
+    adj = build_adjacency(nodes, edges)
+    violations, checks = [], 0
+    for key, ancestors in beta.items():
+        checks += 1
+        if not ancestors:
+            violations.append(f"motif {key!r} has no ancestors")
+    for i in nodes:
+        for k in sorted(key for key, ancestors in beta.items() if i in ancestors):
+            checks += 1
+            observed = acs_expansion(adj, y, threshold, i)
+            if k not in observed:
+                violations.append(f"selecting {i!r} does not observe motif {k!r}")
+            missing = beta[k] - observed
+            if missing:
+                violations.append(f"selecting {i!r} observes motif {k!r} but not "
+                                  f"its ancestors {sorted(missing)}")
+    return violations, checks
+
+
 def random_graph(rng, max_nodes=9, min_nodes=2):
     n = rng.randint(min_nodes, max_nodes)
     nodes = [str(i) for i in range(1, n + 1)]

@@ -1,5 +1,6 @@
 """Big construction rules, serialization, and feasibility checking."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from bigs import (AncestorRule, Big, Design, Graph, InfeasibleError, Motif,
                   MotifClass, MotifSet, ParseError, acs_big, check_feasibility,
                   dump_big, enumerate_motifs, first_order_inclusion, load_big,
                   snowball_big, thompson1990)
+
+from oracles import oracle_acs_feasibility
 
 TRIANGLE_TAIL = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
 PATH4 = Graph(edges=[("u", "a"), ("a", "b"), ("b", "v")])
@@ -336,3 +339,45 @@ def test_check_feasibility_acs_variants():
                                graph=pop.graph)
     assert report.violations == (
         "selecting '2' observes motif '2' but not its ancestors ['10', '1000']",)
+
+
+def _random_acs_grid(rng):
+    rows, cols = rng.randint(1, 5), rng.randint(2, 5)
+    cells = [f"r{r}c{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"r{r}c{c}", f"r{r}c{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(rows - 1) for c in range(cols)]
+    y = {u: rng.choice([0, 0, 0, 1, 2, 7, 40]) for u in cells}
+    return cells, edges, y
+
+
+def test_acs_feasibility_expands_once_per_unit(monkeypatch):
+    import bigs.big
+    calls = []
+    expand = bigs.big._acs_expand
+    monkeypatch.setattr(bigs.big, "_acs_expand",
+                        lambda *args: calls.append(args[-1]) or expand(*args))
+    pop = thompson1990()
+    for label in ("acs-b", "acs-b-star", "acs-b-dagger"):
+        calls.clear()
+        big = pop.bigs[label]
+        check_feasibility(big, graph=pop.graph)
+        assert calls == [frozenset([u]) for u in big.frame]
+
+
+def test_acs_feasibility_matches_the_per_pair_oracle():
+    rng = random.Random(1990)
+    violated = 0
+    for _ in range(40):
+        cells, edges, y = _random_acs_grid(rng)
+        grid = Graph(cells, edges)
+        for label in ("acs-b", "acs-b-star", "acs-b-dagger"):
+            try:
+                big = acs_big(grid, y, 5, AncestorRule.parse(label))
+            except InfeasibleError:
+                continue
+            beta = {key: big.ancestors(key) for key in big.motifs.keys()}
+            want = oracle_acs_feasibility(cells, edges, y, 5, beta)
+            report = check_feasibility(big, graph=grid)
+            assert (list(report.violations), report.checks) == want
+            violated += bool(report.violations)
+    assert violated
