@@ -19,18 +19,18 @@ from . import design
 from .errors import EnumerationCapError
 from .graph import Graph, GeodesicMatrix, INFINITE, connected_components, geodesics
 
-# name -> (order, number of edges, sorted degree sequence). Each pattern is
-# the unique graph on its order with that signature, so induced matching
-# reduces to a signature comparison.
-_PATTERNS: dict[str, tuple[int, int, tuple[int, ...]]] = {
-    "k1": (1, 0, (0,)),
-    "k2": (2, 1, (1, 1)),
-    "s2": (3, 2, (1, 1, 2)),
-    "k3": (3, 3, (2, 2, 2)),
-    "k4": (4, 6, (3, 3, 3, 3)),
-    "c4": (4, 4, (2, 2, 2, 2)),
-    "s3": (4, 3, (1, 1, 1, 3)),
-    "p3": (4, 3, (1, 1, 2, 2)),
+# name -> (order, sorted degree sequence). Each pattern is the unique graph
+# on its order with that degree sequence, so induced matching reduces to a
+# comparison of sorted degrees.
+_PATTERNS: dict[str, tuple[int, tuple[int, ...]]] = {
+    "k1": (1, (0,)),
+    "k2": (2, (1, 1)),
+    "s2": (3, (1, 1, 2)),
+    "k3": (3, (2, 2, 2)),
+    "k4": (4, (3, 3, 3, 3)),
+    "c4": (4, (2, 2, 2, 2)),
+    "s3": (4, (1, 1, 1, 3)),
+    "p3": (4, (1, 1, 2, 2)),
 }
 
 CLASS_NAMES = tuple(_PATTERNS) + ("component:<max_order>",)
@@ -157,8 +157,7 @@ class MotifSet:
         return f"<MotifSet |Omega|={len(self.motifs)}>"
 
 
-def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] | None = None,
-                     *, cap: int | None = None) -> MotifSet:
+def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] | None = None) -> MotifSet:
     """All motifs of the given class in ``g``, in deterministic order.
 
     Pattern classes match induced subgraphs on the symmetrized graph, so a
@@ -166,7 +165,7 @@ def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] 
     does not match). Every pattern is connected, so only connected node
     subsets of the pattern's order are grown and tested; motifs are listed
     in the lexicographic order of their members' node indices. Growing more
-    than ``cap`` such subsets (DEFAULT_ENUMERATION_CAP when None) raises
+    than ``design.DEFAULT_ENUMERATION_CAP`` such subsets raises
     EnumerationCapError. The component class returns whole weakly connected
     components with at most max_order nodes.
     """
@@ -174,16 +173,15 @@ def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] 
     if motif_class.is_component:
         found = [comp for comp in connected_components(sym) if len(comp) <= motif_class.max_order]
     else:
-        cap = design.DEFAULT_ENUMERATION_CAP if cap is None else cap
         labels = sym.labels
         found = [frozenset(labels[i] for i in hit)
-                 for hit in sorted(_pattern_hits(sym._out, motif_class, cap))]
+                 for hit in sorted(_pattern_hits(sym._out, motif_class))]
     tag = motif_class.label
     motifs = [Motif(f"{tag}-{i}", members, motif_class) for i, members in enumerate(found)]
     return MotifSet(motifs, y)
 
 
-def _pattern_hits(adj, motif_class: MotifClass, cap: int) -> list[tuple[int, ...]]:
+def _pattern_hits(adj, motif_class: MotifClass) -> list[tuple[int, ...]]:
     """Index tuples, each sorted, of the node subsets that induce the pattern.
 
     ESU (Wernicke, "Efficient detection of network motifs", IEEE/ACM TCBB
@@ -191,10 +189,11 @@ def _pattern_hits(adj, motif_class: MotifClass, cap: int) -> list[tuple[int, ...
     from its smallest node: a subset is extended only by nodes above that
     root which are not already adjacent to it, so no subset is reached
     twice. A subset matches when its sorted internal degrees equal the
-    pattern's; they fix its edge count too.
+    pattern's.
     """
-    order, _, signature = _PATTERNS[motif_class.name]
+    order, signature = _PATTERNS[motif_class.name]
     signature = list(signature)
+    cap = design.DEFAULT_ENUMERATION_CAP
     hits: list[tuple[int, ...]] = []
     grown = 0
 

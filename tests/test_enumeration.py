@@ -1,41 +1,55 @@
 """Connected-subgraph motif enumeration against the brute-force oracle,
 and the enumeration size guard."""
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bigs import (EnumerationCapError, Graph, MotifClass, connected_components,
-                  enumerate_motifs)
+from bigs import EnumerationCapError, Graph, MotifClass, enumerate_motifs
 from bigs.cli import main
 
 from oracles import PATTERNS, oracle_pattern_motifs
 
 
-def _random_graph(rng, directed):
-    """Up to 14 shuffled labels in one to three blocks, with isolated nodes;
-    directed graphs may hold both arcs of a pair."""
-    n = rng.randint(1, 14)
-    labels = [f"v{i}" for i in range(n)]
-    rng.shuffle(labels)
-    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+@st.composite
+def graphs(draw):
+    """Up to 14 shuffled labels in one to three blocks, with edges inside the
+    blocks only. Labels left without an edge survive only if listed as
+    nodes; directed graphs may hold both arcs of a pair."""
+    n = draw(st.integers(1, 14))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))) if n > 1 else []
     blocks = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-    p = rng.choice((0.2, 0.4, 0.6, 0.9))
-    edges = []
-    for block in blocks:
-        for i, u in enumerate(block):
-            for v in block[i + 1:]:
-                if rng.random() < p:
-                    edges.append((u, v) if rng.random() < 0.5 else (v, u))
-                    if directed and rng.random() < 0.3:
-                        edges.append(edges[-1][::-1])
-    rng.shuffle(edges)
-    nodes = rng.sample(labels, rng.randint(0, n))
-    return nodes, edges
+    pairs = [(u, v) for block in blocks for i, u in enumerate(block) for v in block[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    flip = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if f else (u, v) for (u, v), k, f in zip(pairs, keep, flip) if k]
+    directed = draw(st.booleans())
+    if directed and edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), unique=True))]
+    edges = draw(st.permutations(edges))
+    nodes = draw(st.lists(st.sampled_from(labels), unique=True))
+    return nodes, edges, directed
 
 
-def _assert_matches_oracle(nodes, edges, directed):
+# Pinned inputs: every order above N; and a directed graph with an isolated
+# node, labels out of sorted order, reciprocal arcs and two components that
+# hold every pattern class between them.
+_TWO_NODES = (["b", "a"], [("b", "a")], False)
+_TWO_COMPONENTS = (
+    ["z", "iso", "m"],
+    [("z", "m"), ("m", "z"), ("m", "c"), ("c", "z"), ("c", "d"),
+     ("p", "q"), ("p", "r"), ("p", "s"), ("q", "r"), ("s", "q"), ("r", "s"), ("r", "p"),
+     ("s", "t"), ("t", "u"), ("u", "w"), ("w", "x"), ("x", "t")],
+    True,
+)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@example(_TWO_NODES)
+@example(_TWO_COMPONENTS)
+@given(graphs())
+def test_connected_growth_equals_brute_force_in_key_order(graph):
+    nodes, edges, directed = graph
     g = Graph(nodes, edges, directed=directed)
     for name in PATTERNS:
         got = enumerate_motifs(g, MotifClass(name))
@@ -44,50 +58,18 @@ def _assert_matches_oracle(nodes, edges, directed):
         assert got.keys() == tuple(f"{name}-{i}" for i in range(len(want)))
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_connected_growth_equals_brute_force_in_key_order(directed):
-    rng = random.Random(2006 + directed)
-    shapes = [_random_graph(rng, directed) for _ in range(60)]
-    for nodes, edges in shapes:
-        _assert_matches_oracle(nodes, edges, directed)
-    # The inputs include orders above N, isolated nodes, labels out of
-    # sorted order, several non-trivial components and reciprocal arcs.
-    graphs = [Graph(nodes, edges, directed=directed) for nodes, edges in shapes]
-    assert any(g.n_nodes < 4 for g in graphs)
-    assert any(any(not g.incident(u) for u in g.labels) for g in graphs)
-    assert any(g.labels != tuple(sorted(g.labels)) for g in graphs)
-    assert any(sum(len(c) > 1 for c in connected_components(g)) > 1 for g in graphs)
-    assert directed == any((v, u) in set(edges) for _, edges in shapes for u, v in edges)
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 8))
-    labels = draw(st.permutations([str(i) for i in range(n)]))
-    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    directed = draw(st.booleans())
-    if directed and edges:
-        reverse = draw(st.lists(st.sampled_from(edges), unique=True))
-        edges = edges + [(v, u) for u, v in reverse]
-    return labels, edges, directed
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(small_graphs())
-def test_property_connected_growth_equals_brute_force(graph):
-    _assert_matches_oracle(*graph)
-
-
-def test_size_guard_counts_connected_subsets():
+def test_size_guard_counts_connected_subsets(monkeypatch):
     k6 = Graph(edges=[(str(a), str(b)) for a in range(6) for b in range(a + 1, 6)])
     # K6 has C(6, 4) = 15 connected four-node subsets, all of them k4.
-    assert len(enumerate_motifs(k6, MotifClass("k4"), cap=15)) == 15
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 15)
+    assert len(enumerate_motifs(k6, MotifClass("k4"))) == 15
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 14)
     with pytest.raises(EnumerationCapError, match="grew 15 connected subsets of 4 nodes, "
                                                   "above the cap of 14"):
-        enumerate_motifs(k6, MotifClass("c4"), cap=14)
+        enumerate_motifs(k6, MotifClass("c4"))
     # The component class is linear and not guarded.
-    assert len(enumerate_motifs(k6, MotifClass("component", 6), cap=1)) == 1
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 1)
+    assert len(enumerate_motifs(k6, MotifClass("component", 6))) == 1
 
 
 def test_motifs_command_exits_two_past_the_default_cap(tmp_path, capsys, monkeypatch):
