@@ -217,10 +217,16 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         if rule.t is None:
             raise ValueError("full rule needs an explicit stage horizon")
         stages = rule.t
+        # A unit observes the motif within T stages only if it lies
+        # within T-1 of a member, or is the member of a singleton. Each
+        # node's ball is searched once, however many motifs it belongs to.
+        memo: dict[int, dict[int, int]] = {}
         for m, members, _, _ in checked:
-            # A unit observes the motif within T stages only if it lies
-            # within T-1 of a member, or is the member of a singleton.
-            balls = {a: g._ball([a], max(stages - 1, 0)) for a in members}
+            balls = {}
+            for a in members:
+                if a not in memo:
+                    memo[a] = g._ball([a], max(stages - 1, 0))
+                balls[a] = memo[a]
             anc = frozenset(
                 g.labels[u] for u in frozenset().union(*balls.values())
                 if _observation_stage(u, {a: ball.get(u, INFINITE)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator
 
 from .errors import DesignError, EnumerationCapError, InfeasibleError, ParseError
@@ -29,7 +30,7 @@ ENUMERATED = "enumerated"
 class Design:
     """A fixed-size-or-listed initial sampling design over a unit frame."""
 
-    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_pi")
+    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_cumulative")
 
     def __init__(self, kind, frame, n=None, points=None):
         frame = tuple(str(u) for u in frame)
@@ -42,7 +43,7 @@ class Design:
         self._frame_set = frozenset(frame)
         self.n = n
         self.points = points
-        self._pi: dict[str, Fraction] | None = None
+        self._cumulative: list[int] | None = None
         if kind == SRSWOR:
             if n is None or not 1 <= n <= len(frame):
                 raise DesignError(f"SRSWOR size must be in 1..{len(frame)}")
@@ -127,15 +128,20 @@ class Design:
                               "of the design")
         return sample
 
-    def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
-        """Yield (initial sample, probability) over the whole support.
-
-        Refuses supports larger than ``cap`` (DEFAULT_ENUMERATION_CAP when None)."""
+    def check_cap(self, cap: int | None = None) -> None:
+        """EnumerationCapError when the support has more than ``cap`` points
+        (DEFAULT_ENUMERATION_CAP when None)."""
         cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
         if self.size > cap:
             raise EnumerationCapError(
                 f"design support has {self.size} points, above the cap of {cap}; "
                 "use Monte Carlo simulation instead")
+
+    def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
+        """Yield (initial sample, probability) over the whole support.
+
+        Refuses supports larger than ``cap``, as ``check_cap`` does."""
+        self.check_cap(cap)
         if self.kind == SRSWOR:
             p = Fraction(1, self.size)
             for combo in itertools.combinations(self.frame, self.n):
@@ -144,16 +150,19 @@ class Design:
             yield from self.points
 
     def draw(self, rng: random.Random) -> frozenset[str]:
-        """One initial sample; deterministic given the generator state."""
+        """One initial sample; deterministic given the generator state.
+
+        A listed design draws exactly: ``rng.randrange(D)`` over the common
+        denominator D of its probabilities, located among the cumulative
+        integer numerators."""
         if self.kind == SRSWOR:
             return frozenset(rng.sample(self.frame, self.n))
-        r = rng.random()
-        acc = 0.0
-        for s, p in self.points:
-            acc += float(p)
-            if r < acc:
-                return s
-        return self.points[-1][0]
+        if self._cumulative is None:
+            common = lcm(*(p.denominator for _, p in self.points))
+            self._cumulative = list(itertools.accumulate(
+                p.numerator * (common // p.denominator) for _, p in self.points))
+        r = rng.randrange(self._cumulative[-1])
+        return self.points[bisect_right(self._cumulative, r)][0]
 
     def __repr__(self) -> str:
         if self.kind == SRSWOR:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -244,7 +245,7 @@ class _Plan:
         if spec.kind == HH:
             weights = resolve_weights(big, spec.weights)
             self.rows = big.frame
-            self.select = lambda unit: (unit,)
+            self.select = self.hit_by = lambda unit: (unit,)
             self.value = lambda unit: sum(
                 (weights[key][unit] * big.motifs.y(key) for key in big.successors(unit)),
                 Fraction(0))
@@ -253,6 +254,7 @@ class _Plan:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.rows = terms.motifs.keys()
             self.select = terms.successors
+            self.hit_by = terms.ancestors
             self.value = big.motifs.y
             self.pi = lambda key: first_order_inclusion(design, terms, key)
 
@@ -273,15 +275,25 @@ class _Plan:
 
     def _unconditioned(self) -> Callable[[Iterable[str]], Fraction]:
         term = {row: self.value(row) / self.pi(row) / self.div for row in self.rows}
+        # Terms as integers over their common denominator: one Fraction per draw.
+        common = math.lcm(*(t.denominator for t in term.values()))
+        scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
         index = {unit: tuple(self.select(unit)) for unit in self.big.frame}
 
         def evaluate(seeds: Iterable[str]) -> Fraction:
             hit = set()
             for unit in seeds:
                 hit.update(index[unit])
-            return sum((term[row] for row in hit), Fraction(0))
+            return Fraction(sum(scaled[row] for row in hit), common)
 
         return evaluate
+
+    def srswor_moments(self) -> tuple[Fraction, Fraction]:
+        """(E[x], E[x²]) under SRSWOR from the pair probabilities, without a walk."""
+        values = [self.value(row) for row in self.rows]
+        second = _srswor_pair_sum(len(self.design.frame), self.design.n,
+                                  [self.hit_by(row) for row in self.rows], values)
+        return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
 
     def _support(self, cap: int | None):
         """(observed motif set, initial sample, probability) over the design."""
@@ -371,43 +383,142 @@ class MomentSummary:
         return self.expectation - self.target
 
 
+def _srswor_pair_ratio(N: int, n: int,
+                       fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
+    """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR of n units from N,
+    for rows k, l hit through unit sets of sizes a and b with a union of u.
+
+    A row is hit when the sample meets its set or, with ``fully_selected``,
+    contains all of it; each ratio is priced once from sample counts.
+    """
+    samples = math.comb(N, n)
+    if fully_selected:
+        def first(m: int) -> int:
+            return math.comb(N - m, n - m) if m <= n else 0
+
+        def both(a: int, b: int, u: int) -> int:
+            return first(u)
+    else:
+        def first(m: int) -> int:
+            return samples - math.comb(N - m, n)
+
+        def both(a: int, b: int, u: int) -> int:
+            return first(a) + first(b) - first(u)
+
+    priced: dict[tuple[int, int, int], Fraction] = {}
+
+    def ratio(a: int, b: int, u: int) -> Fraction:
+        got = priced.get((a, b, u))
+        if got is None:
+            got = priced[a, b, u] = Fraction(samples * both(a, b, u), first(a) * first(b))
+        return got
+
+    return ratio
+
+
+def _srswor_pair_sum(N: int, n: int, sets: list, values: list[Fraction],
+                     fully_selected: bool = False) -> Fraction:
+    """Σ_k Σ_l y_k y_l π_(kl) / (π_(k) π_(l)) under SRSWOR of n units from N.
+
+    Row k enters when the sample meets the unit set A_k or, with
+    ``fully_selected``, when it contains all of A_k. Either way π_(k) and
+    π_(kl) depend only on |A_k|, |A_l| and |A_k ∪ A_l|, so the products
+    y_k y_l are first summed into those groups, as integers over the lcm
+    of the y denominators: disjoint pairs in bulk from per-size totals,
+    overlapping pairs (k = l among them) moved to their own group through
+    an index from each unit to the sets already seen, with union sizes
+    from bit masks. Each group then costs one ratio.
+    """
+    merged: dict[frozenset, Fraction] = defaultdict(Fraction)
+    for units, y in zip(sets, values):
+        merged[frozenset(units)] += y
+    scale = math.lcm(*(y.denominator for y in merged.values()))
+    bit: dict[str, int] = {}
+    earlier: dict[str, list[int]] = defaultdict(list)
+    rows: list[tuple[int, int, int]] = []
+    by_size: dict[int, int] = defaultdict(int)
+    # Ordered pairs whose sets meet, summed by (a, b) and by (a, b, union), a <= b.
+    met: dict[tuple[int, int], int] = defaultdict(int)
+    groups: dict[tuple[int, int, int], int] = defaultdict(int)
+    for units, y in merged.items():
+        if not y:
+            continue
+        y_k = y.numerator * (scale // y.denominator)
+        a = len(units)
+        mask = 0
+        meets = set()
+        for unit in units:
+            mask |= 1 << bit.setdefault(unit, len(bit))
+            meets.update(earlier[unit])
+            earlier[unit].append(len(rows))
+        by_size[a] += y_k
+        met[a, a] += y_k * y_k
+        groups[a, a, a] += y_k * y_k
+        for l in meets:
+            mask_l, b, y_l = rows[l]
+            lo, hi = (a, b) if a <= b else (b, a)
+            product = 2 * y_k * y_l
+            met[lo, hi] += product
+            groups[lo, hi, (mask | mask_l).bit_count()] += product
+        rows.append((mask, a, y_k))
+    for a, total_a in by_size.items():
+        for b, total_b in by_size.items():
+            if a <= b:
+                groups[a, b, a + b] += (total_a * total_b * (1 if a == b else 2)
+                                        - met.get((a, b), 0))
+
+    ratio = _srswor_pair_ratio(N, n, fully_selected)
+    total = sum((g * ratio(a, b, u) for (a, b, u), g in groups.items() if g), Fraction(0))
+    return total / (scale * scale)
+
+
 def enumerate_moments(design: Design, big: Big, specs: Iterable[EstimatorSpec],
                       cap: int | None = None,
                       samples: list | None = None) -> list[MomentSummary]:
-    """Exact moments of each spec from one walk over the design support.
+    """Exact moments of each spec.
 
-    The walk accumulates Σp·x and Σp·x² per spec, so no support point is
-    kept, unless ``samples`` is a list: each point is then appended to it
-    as (initial sample, probability, one estimate per spec).
+    Under SRSWOR every spec but a Rao-Blackwellized one takes its moments
+    in closed form from the second-order inclusion probabilities. The rest
+    come from one walk over the design support that accumulates Σp·x and
+    Σp·x² per spec, so no support point is kept, unless ``samples`` is a
+    list: the walk then covers every spec and appends each point to it as
+    (initial sample, probability, one estimate per spec). Supports larger
+    than ``cap`` are refused either way.
     """
-    specs = list(specs)
-    evaluators = [sample_evaluator(design, big, spec, cap=cap) for spec in specs]
-    first = [Fraction(0)] * len(specs)
-    second = [Fraction(0)] * len(specs)
-    support = 0
-    for seeds, p in design.enumerate(cap):
-        estimates = tuple(evaluate(seeds) for evaluate in evaluators)
-        for j, est in enumerate(estimates):
-            weighted = p * est
-            first[j] += weighted
-            second[j] += weighted * est
-        support += 1
-        if samples is not None:
-            samples.append((seeds, p, estimates))
+    plans = [_Plan(design, big, spec) for spec in specs]
+    design.check_cap(cap)
+    raw = [plan.srswor_moments() if design.kind == SRSWOR and not plan.spec.rao_blackwell
+           else None for plan in plans]
+    walked = [j for j, moments in enumerate(raw) if moments is None]
+    if walked or samples is not None:
+        table = range(len(plans)) if samples is not None else walked
+        evaluators = {j: plans[j].evaluator(cap) for j in table}
+        sums = {j: [Fraction(0), Fraction(0)] for j in walked}
+        for seeds, p in design.enumerate(cap):
+            estimates = {j: evaluate(seeds) for j, evaluate in evaluators.items()}
+            for j, acc in sums.items():
+                weighted = p * estimates[j]
+                acc[0] += weighted
+                acc[1] += weighted * estimates[j]
+            if samples is not None:
+                samples.append((seeds, p, tuple(estimates.values())))
+        for j, (mean, square) in sums.items():
+            raw[j] = mean, square
     summaries = []
-    for spec, mean, square in zip(specs, first, second):
+    for plan, (mean, square) in zip(plans, raw):
         # The probabilities sum to exactly one, so these equal the
         # probability-weighted squared deviations from the mean and target.
-        target = big.theta() / _scale_divisor(big, spec.scale)
+        target = big.theta() / plan.div
         summaries.append(MomentSummary(mean, square - mean * mean,
                                        square - 2 * target * mean + target * target,
-                                       target, spec.scale, support))
+                                       target, plan.spec.scale, design.size))
     return summaries
 
 
 def exact_moments(design: Design, big: Big, spec: EstimatorSpec,
                   cap: int | None = None) -> MomentSummary:
-    """Expectation, variance and MSE by full enumeration of the design."""
+    """Expectation, variance and MSE: in closed form under SRSWOR, by
+    enumerating the design for Rao-Blackwellized specs and listed designs."""
     (summary,) = enumerate_moments(design, big, [spec], cap)
     return summary
 
@@ -469,39 +580,85 @@ class DeltaMatrix:
         return total
 
 
+def _motif_pair_ratio(design: Design, big: Big) -> Callable[[str, str], Fraction]:
+    """(k, l) -> π_(kl) / (π_(k) π_(l)), refusing pairs never observed together.
+
+    Under SRSWOR the ratio depends only on |β_k|, |β_l| and |β_k ∪ β_l|, so
+    it is priced once per size triple; otherwise each π_(k) is computed
+    once per motif.
+    """
+    if design.kind == SRSWOR:
+        sized = _srswor_pair_ratio(len(design.frame), design.n)
+
+        def ratio(k: str, l: str) -> Fraction:
+            beta_k, beta_l = big.ancestors(k), big.ancestors(l)
+            a, b = len(beta_k), len(beta_l)
+            return sized(a, b, a + b - len(beta_k & beta_l))
+    else:
+        pi = {key: first_order_inclusion(design, big, key) for key in big.motifs.keys()}
+
+        def ratio(k: str, l: str) -> Fraction:
+            return second_order_inclusion(design, big, k, l) / (pi[k] * pi[l])
+
+    def checked(k: str, l: str) -> Fraction:
+        got = ratio(k, l)
+        if got == 0:
+            raise DesignError(
+                f"motifs {k!r} and {l!r} have zero joint inclusion probability")
+        return got
+
+    return checked
+
+
 def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix:
     """Exact variance-difference matrix for the given weight scheme.
 
     Entry (k,l) is the double sum of π_ij ω_ik ω_jl / (π_i π_j) over the
     ancestor sets, minus π_(kl) / (π_(k) π_(l)). Pairs that can never be
-    selected together are refused.
+    selected together are refused. Under SRSWOR π_ij / (π_i π_j) takes one
+    value off the diagonal, so the double sum needs only the overlap
+    Σ_i ω_ik ω_il.
     """
     keys = tuple(big.motifs.keys())
     resolved = resolve_weights(big, weights)
-    pi_unit = {u: design.unit_inclusion(u) for u in big.frame}
-    ratio: dict[tuple[str, str], Fraction] = {}
+    motif_ratio = _motif_pair_ratio(design, big)
+    if design.kind == SRSWOR:
+        N = len(design.frame)
+        unit_ratio = _srswor_pair_ratio(N, design.n)
+        same = unit_ratio(1, 1, 1)
+        apart = unit_ratio(1, 1, 2) if N > 1 else Fraction(0)
 
-    def pair_ratio(i: str, j: str) -> Fraction:
-        got = ratio.get((i, j))
-        if got is None:
-            got = design.pair_inclusion(i, j) / (pi_unit[i] * pi_unit[j])
-            ratio[(i, j)] = got
-            ratio[(j, i)] = got
-        return got
+        def unit_sum(k: str, l: str) -> Fraction:
+            # Every row of ω sums to one, so the off-diagonal part is `apart`.
+            row_k, row_l = resolved[k], resolved[l]
+            if len(row_l) < len(row_k):
+                row_k, row_l = row_l, row_k
+            overlap = sum((w * row_l[i] for i, w in row_k.items() if i in row_l),
+                          Fraction(0))
+            return apart + (same - apart) * overlap
+    else:
+        pi_unit = {u: design.unit_inclusion(u) for u in big.frame}
+        ratio: dict[tuple[str, str], Fraction] = {}
+
+        def pair_ratio(i: str, j: str) -> Fraction:
+            got = ratio.get((i, j))
+            if got is None:
+                got = design.pair_inclusion(i, j) / (pi_unit[i] * pi_unit[j])
+                ratio[(i, j)] = got
+                ratio[(j, i)] = got
+            return got
+
+        def unit_sum(k: str, l: str) -> Fraction:
+            total = Fraction(0)
+            for i, w_ik in resolved[k].items():
+                for j, w_jl in resolved[l].items():
+                    total += pair_ratio(i, j) * w_ik * w_jl
+            return total
 
     entries: dict[tuple[str, str], Fraction] = {}
     for a, k in enumerate(keys):
         for l in keys[a:]:
-            joint = second_order_inclusion(design, big, k, l)
-            if joint == 0:
-                raise DesignError(
-                    f"motifs {k!r} and {l!r} have zero joint inclusion probability")
-            first = Fraction(0)
-            for i, w_ik in resolved[k].items():
-                for j, w_jl in resolved[l].items():
-                    first += pair_ratio(i, j) * w_ik * w_jl
-            value = first - joint / (first_order_inclusion(design, big, k)
-                                     * first_order_inclusion(design, big, l))
+            value = unit_sum(k, l) - motif_ratio(k, l)
             entries[(k, l)] = value
             entries[(l, k)] = value
     return DeltaMatrix(keys, entries)
@@ -521,21 +678,15 @@ def srswor_equal_share_delta(big: Big, design: Design) -> DeltaMatrix:
     keys = tuple(big.motifs.keys())
     lead = Fraction(N * N, n * (N - 1)) * (1 - Fraction(n, N))
     tail = Fraction(N * (n - 1), n * (N - 1))
+    motif_ratio = _motif_pair_ratio(design, big)
     entries: dict[tuple[str, str], Fraction] = {}
     for a, k in enumerate(keys):
         for l in keys[a:]:
             beta_k = big.ancestors(k)
             beta_l = big.ancestors(l)
-            m_k = len(beta_k)
-            m_l = len(beta_l)
             m_kl = len(beta_k & beta_l)
-            joint = second_order_inclusion(design, big, k, l)
-            if joint == 0:
-                raise DesignError(
-                    f"motifs {k!r} and {l!r} have zero joint inclusion probability")
-            value = (lead * Fraction(m_kl, m_k * m_l) + tail
-                     - joint / (first_order_inclusion(design, big, k)
-                                * first_order_inclusion(design, big, l)))
+            value = (lead * Fraction(m_kl, len(beta_k) * len(beta_l)) + tail
+                     - motif_ratio(k, l))
             entries[(k, l)] = value
             entries[(l, k)] = value
     return DeltaMatrix(keys, entries)
@@ -597,16 +748,22 @@ def induced_ht_moments(motifs: MotifSet, design: Design,
                        scale: str = TOTAL) -> MomentSummary:
     """Exact moments of the fully-selected-motif HT estimator.
 
-    Works from pairwise joint selection probabilities, so it stays cheap
-    even when the design support is too large to enumerate."""
+    Works from pairwise joint selection probabilities, grouped by set sizes
+    under SRSWOR, so it stays cheap even when the design support is too
+    large to enumerate."""
     div = len(design.frame) if scale == MEAN_PER_UNIT else 1
     items = _induced_terms(motifs, design)
     theta = sum((y for _, y, _ in items), Fraction(0))
-    second = Fraction(0)
-    for members_k, y_k, pi_k in items:
-        for members_l, y_l, pi_l in items:
-            joint = induced_inclusion(design, members_k | members_l)
-            second += y_k * y_l * joint / (pi_k * pi_l)
+    if design.kind == SRSWOR:
+        second = _srswor_pair_sum(len(design.frame), design.n,
+                                  [members for members, _, _ in items],
+                                  [y for _, y, _ in items], fully_selected=True)
+    else:
+        second = Fraction(0)
+        for members_k, y_k, pi_k in items:
+            for members_l, y_l, pi_l in items:
+                joint = induced_inclusion(design, members_k | members_l)
+                second += y_k * y_l * joint / (pi_k * pi_l)
     variance = (second - theta * theta) / (div * div)
     target = theta / div
     return MomentSummary(target, variance, variance, target, scale, design.size)

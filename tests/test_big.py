@@ -120,6 +120,25 @@ def test_full_big_includes_external_ancestors():
     assert big.ancestors("m") == {"u", "a", "b", "v"}
 
 
+def test_full_big_searches_each_member_ball_once(monkeypatch):
+    g = Graph(edges=[("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5")])
+    motifs = enumerate_motifs(g, MotifClass("k2"))
+    depths = []
+    search = Graph._ball
+
+    def counted(self, sources, depth=None, targets=None):
+        if targets is None:
+            depths.append((tuple(sources), depth))
+        return search(self, sources, depth, targets)
+
+    monkeypatch.setattr(Graph, "_ball", counted)
+    big = snowball_big(g, motifs, AncestorRule.full(2))
+    members = {u for m in motifs for u in m.members}
+    assert sorted(depths) == sorted(((g.index_of(u),), 1) for u in members)
+    monkeypatch.undo()
+    assert big == snowball_big(g, motifs, AncestorRule.full(2))
+
+
 def test_full_rule_needs_a_horizon():
     motifs = MotifSet([Motif("m", frozenset(["a"]))])
     with pytest.raises(ValueError, match="horizon"):

@@ -98,6 +98,34 @@ def test_draw_is_seed_deterministic_and_in_support():
     assert 0.70 < share < 0.80
 
 
+class _FixedDraw:
+    """A generator stand-in whose randrange returns a chosen value."""
+
+    def __init__(self, r):
+        self.r = r
+        self.bounds = []
+
+    def randrange(self, bound):
+        self.bounds.append(bound)
+        return self.r
+
+
+def test_enumerated_draw_is_exact_over_the_common_denominator():
+    points = [(frozenset("a"), Fraction(1, 6)), (frozenset("bc"), Fraction(1, 4)),
+              (frozenset("c"), Fraction(7, 12))]
+    e = Design.enumerated("abc", points)
+    D = 12
+    for r in range(D):
+        acc = Fraction(0)
+        for want, p in points:
+            acc += p
+            if Fraction(r, D) < acc:
+                break
+        rng = _FixedDraw(r)
+        assert e.draw(rng) == want
+        assert rng.bounds == [D]
+
+
 def test_inclusion_probabilities_match_enumeration_counts():
     rng = random.Random(31337)
     for _ in range(20):
