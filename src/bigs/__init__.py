@@ -20,8 +20,7 @@ from .motifs import (Motif, MotifClass, MotifSet, ancestor_neighborhood,
                      enumerate_motifs, motif_diameter, observation_diameter,
                      observation_distance)
 from .sampling import (AcsObservation, SampleGraph, acs_sample, induced_sample,
-                       motif_observed, snowball_observation_distance,
-                       snowball_sample)
+                       motif_observed, snowball_sample)
 from .design import (Design, SampleBig, first_order_inclusion,
                      parse_design_file, realize_sample_big,
                      second_order_inclusion)
@@ -50,7 +49,7 @@ __all__ = [
     "enumerate_motifs", "motif_diameter", "observation_diameter",
     "observation_distance",
     "AcsObservation", "SampleGraph", "acs_sample", "induced_sample",
-    "motif_observed", "snowball_observation_distance", "snowball_sample",
+    "motif_observed", "snowball_sample",
     "Design", "SampleBig", "first_order_inclusion", "parse_design_file",
     "realize_sample_big", "second_order_inclusion",
     "AcsContext", "AncestorRule", "Big", "FeasibilityReport", "acs_big",

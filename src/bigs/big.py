@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InfeasibleError, ParseError
-from .graph import Graph, INFINITE
-from .motifs import Motif, MotifSet, _observation_stage, to_fraction
+from .graph import Graph, INFINITE, connected_components
+from .motifs import (Motif, MotifSet, _member_distances, _member_indices, _observation_stage,
+                     to_fraction)
 from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
 
 FULL = "full"
@@ -178,18 +179,10 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
     """
     if rule.kind not in _SNOWBALL_KINDS:
         raise ValueError(f"rule {rule.label!r} is not a snowball rule")
-    nodes = frozenset(g.labels)
     checked = []
     for m in motifs:
-        if not m.members:
-            raise ValueError(f"motif {m.key!r} has no member set")
-        if not m.members <= nodes:
-            raise ValueError(f"motif {m.key!r} has members outside the graph")
-        members = [g.index_of(u) for u in m.members]
-        between = {}
-        for a in members:
-            reached = g._ball([a], targets=members)
-            between[a] = {b: reached.get(b, INFINITE) for b in members}
+        members = _member_indices(m, g)
+        between = _member_distances(g, members)
         diameter = max(_observation_stage(a, between[a]) for a in members)
         if diameter == INFINITE:
             raise InfeasibleError(
@@ -252,33 +245,19 @@ def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule)
         raise ValueError(f"rule {rule.label!r} is not an adaptive-cluster rule")
     values = _acs_values(grid, y)
     thr = to_fraction(threshold)
-    above = {u for u in grid.labels if values[u] > thr}
-
-    networks: list[frozenset[str]] = []
-    assigned: dict[str, int] = {}
-    for u in grid.labels:
-        if u not in above or u in assigned:
-            continue
-        comp = {u}
-        queue = [u]
-        while queue:
-            cur = queue.pop()
-            for v in grid.incident(cur):
-                if v in above and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        idx = len(networks)
-        networks.append(frozenset(comp))
-        for v in comp:
-            assigned[v] = idx
+    above = [u for u in grid.labels if values[u] > thr]
+    inside = frozenset(above)
+    networks = connected_components(Graph(
+        above, [(u, v) for u, v in grid.edges() if u in inside and v in inside], grid.directed))
+    assigned = {v: idx for idx, comp in enumerate(networks) for v in comp}
 
     beta: dict[str, frozenset[str]] = {}
     edge_grids = set()
     for u in grid.labels:
-        if u in above:
+        if u in assigned:
             beta[u] = networks[assigned[u]]
             continue
-        adjacent = sorted({assigned[v] for v in grid.incident(u) if v in above})
+        adjacent = sorted({assigned[v] for v in grid.incident(u) if v in assigned})
         if not adjacent:
             beta[u] = frozenset([u])
             continue
@@ -298,7 +277,7 @@ def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule)
             beta[u] = networks[adjacent[0]]
 
     motifs = MotifSet([Motif(u, frozenset([u])) for u in grid.labels], values)
-    context = AcsContext(grid, thr, tuple(networks), frozenset(edge_grids))
+    context = AcsContext(grid, thr, networks, frozenset(edge_grids))
     return Big(grid.labels, motifs, beta, rule, stages_required=None, acs=context)
 
 

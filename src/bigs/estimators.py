@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+from . import design as _design
 from .big import Big
 from .design import (Design, SampleBig, SRSWOR, first_order_inclusion,
                      second_order_inclusion)
-from .errors import DesignError, WeightError
+from .errors import DesignError, EnumerationCapError, WeightError
 from .motifs import MotifSet, to_fraction
 
 TOTAL = "total"
@@ -610,6 +611,18 @@ def _motif_pair_ratio(design: Design, big: Big) -> Callable[[str, str], Fraction
     return checked
 
 
+def _delta_keys(big: Big) -> tuple[str, ...]:
+    """The motif keys of a Δ matrix; EnumerationCapError when its K² entries
+    exceed ``design.DEFAULT_ENUMERATION_CAP``."""
+    keys = tuple(big.motifs.keys())
+    cap = _design.DEFAULT_ENUMERATION_CAP
+    if len(keys) ** 2 > cap:
+        raise EnumerationCapError(
+            f"variance-difference matrix over {len(keys)} motifs has {len(keys) ** 2} "
+            f"entries, above the cap of {cap}")
+    return keys
+
+
 def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix:
     """Exact variance-difference matrix for the given weight scheme.
 
@@ -617,9 +630,10 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
     ancestor sets, minus π_(kl) / (π_(k) π_(l)). Pairs that can never be
     selected together are refused. Under SRSWOR π_ij / (π_i π_j) takes one
     value off the diagonal, so the double sum needs only the overlap
-    Σ_i ω_ik ω_il.
+    Σ_i ω_ik ω_il. More than ``design.DEFAULT_ENUMERATION_CAP`` entries are
+    refused before any is priced.
     """
-    keys = tuple(big.motifs.keys())
+    keys = _delta_keys(big)
     resolved = resolve_weights(big, weights)
     motif_ratio = _motif_pair_ratio(design, big)
     if design.kind == SRSWOR:
@@ -668,14 +682,16 @@ def srswor_equal_share_delta(big: Big, design: Design) -> DeltaMatrix:
     """Closed form of the variance-difference matrix for equal-share
     weights under simple random sampling without replacement.
 
-    Uses only the ancestor-set sizes m_k, m_l and overlap m_kl."""
+    Uses only the ancestor-set sizes m_k, m_l and overlap m_kl. Refuses
+    more than ``design.DEFAULT_ENUMERATION_CAP`` entries, as
+    ``delta_matrix`` does."""
     if design.kind != SRSWOR:
         raise DesignError("closed form requires a simple random sampling design")
     n = design.n
     N = len(design.frame)
     if N < 2:
         raise DesignError("closed form needs a frame of at least 2 units")
-    keys = tuple(big.motifs.keys())
+    keys = _delta_keys(big)
     lead = Fraction(N * N, n * (N - 1)) * (1 - Fraction(n, N))
     tail = Fraction(N * (n - 1), n * (N - 1))
     motif_ratio = _motif_pair_ratio(design, big)

@@ -160,17 +160,13 @@ class GeodesicMatrix:
     def distance(self, u: str, v: str):
         return self._rows[self._index[u]][self._index[v]]
 
-    def distance_to_set(self, u: str, targets: Iterable[str]):
-        row = self._rows[self._index[u]]
-        dists = [row[self._index[t]] for t in targets]
-        return min(dists) if dists else INFINITE
-
 
 def geodesics(g: Graph) -> GeodesicMatrix:
     """BFS shortest-path lengths between all node pairs of ``g``.
 
-    Directed graphs give directed distances; observation-distance code
-    symmetrizes first via ``Graph.undirected_view``.
+    Directed graphs give directed distances. This builds the whole N x N
+    table, for callers that want every pair; the motif distance helpers
+    search bounded balls that ignore direction instead.
     """
     n = g.n_nodes
     adj = g._out

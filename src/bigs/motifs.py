@@ -10,14 +10,13 @@ under the incident-reciprocal observation procedure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import design
 from .errors import EnumerationCapError
-from .graph import Graph, GeodesicMatrix, INFINITE, connected_components, geodesics
+from .graph import Graph, INFINITE, connected_components
 
 # name -> (order, sorted degree sequence). Each pattern is the unique graph
 # on its order with that degree sequence, so induced matching reduces to a
@@ -229,29 +228,36 @@ def _pattern_hits(adj, motif_class: MotifClass) -> list[tuple[int, ...]]:
     return hits
 
 
-def _members(motif: Motif) -> frozenset[str]:
+def _member_indices(motif: Motif, g: Graph) -> list[int]:
+    """Node indices of the motif's members, which must lie in ``g``."""
     if not motif.members:
         raise ValueError(f"motif {motif.key!r} has no member set")
-    return motif.members
+    if not all(u in g for u in motif.members):
+        raise ValueError(f"motif {motif.key!r} has members outside the graph")
+    return [g.index_of(u) for u in motif.members]
 
 
-def motif_diameter(motif: Motif, geo: GeodesicMatrix):
-    """Largest geodesic distance between two members; 0 for singletons."""
-    members = sorted(_members(motif))
-    best = 0
-    for u, v in itertools.combinations(members, 2):
-        d = geo.distance(u, v)
-        if d == INFINITE:
-            return INFINITE
-        best = max(best, d)
-    return best
+def _member_distances(g: Graph, members: list[int]) -> dict[int, dict[int, int | float]]:
+    """Distance, ignoring direction, from each member index to every member.
+
+    Each search stops at the level that reaches the last member, so it
+    stays inside a ball around the motif; unreachable members are INFINITE.
+    """
+    between = {}
+    for a in members:
+        reached = g._ball([a], targets=members)
+        between[a] = {b: reached.get(b, INFINITE) for b in members}
+    return between
 
 
-def _sym_geo(g: Graph, geo: GeodesicMatrix | None) -> GeodesicMatrix:
-    return geo if geo is not None else geodesics(g.undirected_view())
+def motif_diameter(motif: Motif, g: Graph):
+    """Largest geodesic distance between two members, ignoring edge
+    direction; 0 for singletons, INFINITE across components."""
+    between = _member_distances(g, _member_indices(motif, g))
+    return max(d for row in between.values() for d in row.values())
 
 
-def observation_distance(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatrix | None = None):
+def observation_distance(motif: Motif, node: str, g: Graph):
     """Snowball stages from one seed until every member pair is resolved.
 
     The snowball front after t stages is the geodesic ball of radius t, so
@@ -263,10 +269,12 @@ def observation_distance(motif: Motif, node: str, g: Graph, *, geo: GeodesicMatr
     A singleton needs no pair resolution: stage 0 when it is the seed
     itself, otherwise one stage past its geodesic distance. The seed may
     be a member or not; the rule agrees with the stage-by-stage
-    simulation either way.
+    simulation either way. Distances ignore edge direction.
     """
-    geo = _sym_geo(g, geo)
-    return _observation_stage(node, {j: geo.distance(node, j) for j in _members(motif)})
+    members = _member_indices(motif, g)
+    seed = g.index_of(node)
+    reached = g._ball([seed], targets=members)
+    return _observation_stage(seed, {j: reached.get(j, INFINITE) for j in members})
 
 
 def _observation_stage(node, distance: Mapping):
@@ -281,27 +289,16 @@ def _observation_stage(node, distance: Mapping):
     return sorted(distance.values())[-2] + 1
 
 
-def observation_diameter(motif: Motif, g: Graph, *, geo: GeodesicMatrix | None = None):
+def observation_diameter(motif: Motif, g: Graph):
     """Largest internal observation distance over the motif's members."""
-    geo = _sym_geo(g, geo)
-    worst = 0
-    for node in sorted(_members(motif)):
-        d = observation_distance(motif, node, g, geo=geo)
-        if d == INFINITE:
-            return INFINITE
-        worst = max(worst, d)
-    return worst
+    between = _member_distances(g, _member_indices(motif, g))
+    return max(_observation_stage(a, row) for a, row in between.items())
 
 
-def ancestor_neighborhood(motif: Motif, geo: GeodesicMatrix, t: int) -> frozenset[str]:
-    """Non-members within geodesic distance t of some member."""
+def ancestor_neighborhood(motif: Motif, g: Graph, t: int) -> frozenset[str]:
+    """Non-members within geodesic distance t of some member, ignoring
+    edge direction."""
     if t < 1:
         raise ValueError("neighborhood radius must be >= 1")
-    members = _members(motif)
-    out = set()
-    for lab in geo.labels:
-        if lab in members:
-            continue
-        if geo.distance_to_set(lab, members) <= t:
-            out.add(lab)
-    return frozenset(out)
+    ball = g._ball(_member_indices(motif, g), t)
+    return frozenset(g.labels[u] for u, d in ball.items() if d > 0)

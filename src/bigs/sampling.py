@@ -13,11 +13,10 @@ every surveyed grid whose y-value exceeds the threshold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .graph import Graph, INFINITE
+from .graph import Graph
 from .motifs import to_fraction
 
 INCIDENT = "incident"
@@ -109,39 +108,6 @@ def _observes(members: frozenset[str], seeds, resolved) -> bool:
         (member,) = members
         return member in seeds or member in resolved
     return len(members - resolved) <= 1
-
-
-def snowball_observation_distance(g: Graph, seeds: Iterable[str], members: Iterable[str],
-                                  limit: int | None = None):
-    """First snowball stage at which the member set is observed.
-
-    Simulates stage by stage; INFINITE when no stage up to the limit
-    (defaults to the node count plus one) observes the motif.
-    """
-    seeds = _check_seeds(g, seeds)
-    members = sorted(frozenset(str(m) for m in members))
-    if not members:
-        raise ValueError("empty member set")
-    if limit is None:
-        limit = g.n_nodes + 1
-    if len(members) == 1 and members[0] in seeds:
-        return 0
-    pairs = list(itertools.combinations(members, 2))
-    current = set(seeds)
-    for t in range(1, limit + 1):
-        resolved = current
-        if len(members) == 1:
-            if members[0] in resolved:
-                return t
-        elif all(u in resolved or v in resolved for u, v in pairs):
-            return t
-        grown = set(current)
-        for u in current:
-            grown |= g.incident(u)
-        if grown == current and t > 1:
-            return INFINITE
-        current = grown
-    return INFINITE
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,53 @@ def acs_expansion(adj, y, threshold, seed):
     return observed
 
 
+def oracle_acs_big(nodes, edges, y, threshold, rule):
+    """(networks, edge grids, ancestor sets) of an adaptive-cluster BIG, by
+    flood fill over the above-threshold grids; for acs-b-dagger, the
+    refusal message when an edge grid touches two or more networks.
+
+    Edges count both ways. Networks come in the order of their first grid
+    in ``nodes``, and ancestor sets in node order.
+    """
+    adj = build_adjacency(nodes, edges)
+    above = {u for u in nodes if y[u] > threshold}
+    network_of = {}
+    networks = []
+    for u in nodes:
+        if u in above and u not in network_of:
+            comp = {u}
+            stack = [u]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v in above and v not in comp:
+                        comp.add(v)
+                        stack.append(v)
+            for v in comp:
+                network_of[v] = len(networks)
+            networks.append(frozenset(comp))
+    beta = {}
+    edge_grids = set()
+    for u in nodes:
+        if u in above:
+            beta[u] = networks[network_of[u]]
+            continue
+        touching = {network_of[v] for v in adj[u] if v in above}
+        if not touching:
+            beta[u] = frozenset([u])
+            continue
+        edge_grids.add(u)
+        joined = frozenset().union(*(networks[i] for i in touching))
+        if rule == "acs-b":
+            beta[u] = joined | {u}
+        elif rule == "acs-b-star":
+            beta[u] = frozenset([u])
+        elif len(touching) > 1:
+            return f"edge grid {u!r} is contiguous to {len(touching)} networks"
+        else:
+            beta[u] = joined
+    return tuple(networks), frozenset(edge_grids), beta
+
+
 def oracle_acs_feasibility(nodes, edges, y, threshold, beta):
     """The structural and empirical checks of an adaptive-cluster BIG,
     pair by pair: a fresh expansion for every (unit, successor) pair.
@@ -301,6 +348,18 @@ def random_graph(rng, max_nodes=9, min_nodes=2):
     edges = [(u, v) for u, v in itertools.combinations(nodes, 2)
              if rng.random() < p]
     return nodes, edges
+
+
+def random_orientation(rng, edges):
+    """Each edge as one arc, either way, or as a pair of reciprocal arcs."""
+    arcs = []
+    for u, v in edges:
+        way = rng.randrange(3)
+        if way != 1:
+            arcs.append((u, v))
+        if way != 0:
+            arcs.append((v, u))
+    return arcs
 
 
 def random_incidence(rng, max_frame=8, max_motifs=10):

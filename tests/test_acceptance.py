@@ -174,7 +174,7 @@ def test_criterion_05_pattern_diameters_and_stage_requirements():
             problems.append(f"{label}: {len(motifs)} embeddings, wanted 1")
             continue
         motif = next(iter(motifs))
-        if motif_diameter(motif, geodesics(g)) != lam:
+        if motif_diameter(motif, g) != lam:
             problems.append(f"{label}: diameter != {lam}")
         if observation_diameter(motif, g) != phi:
             problems.append(f"{label}: observation diameter != {phi}")
@@ -262,13 +262,12 @@ def test_criterion_08_observation_distance_matches_simulation():
     while graphs < 100:
         nodes, edges = random_graph(rng)
         g = Graph(nodes, edges)
-        geo = geodesics(g)
         adj = build_adjacency(nodes, edges)
         limit = len(nodes) + 1
         for label in MOTIF_CLASSES:
             for motif in enumerate_motifs(g, MotifClass.parse(label)):
                 for node in nodes:
-                    formula = observation_distance(motif, node, g, geo=geo)
+                    formula = observation_distance(motif, node, g)
                     sim = simulate_snowball_observation(adj, node,
                                                         motif.members, limit)
                     expected = INFINITE if sim == INF else sim

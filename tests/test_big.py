@@ -1,6 +1,7 @@
 """Big construction rules, serialization, and feasibility checking."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from bigs import (AncestorRule, Big, Design, Graph, InfeasibleError, Motif,
                   dump_big, enumerate_motifs, first_order_inclusion, load_big,
                   snowball_big, thompson1990)
 
-from oracles import oracle_acs_feasibility
+from oracles import oracle_acs_big, oracle_acs_feasibility, random_orientation
 
 TRIANGLE_TAIL = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
 PATH4 = Graph(edges=[("u", "a"), ("a", "b"), ("b", "v")])
@@ -367,6 +368,32 @@ def _random_acs_grid(rng):
     edges += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(rows - 1) for c in range(cols)]
     y = {u: rng.choice([0, 0, 0, 1, 2, 7, 40]) for u in cells}
     return cells, edges, y
+
+
+def test_acs_big_matches_the_flood_fill_oracle():
+    # Each grid is built as given and as a directed copy whose arcs point
+    # either way or both; networks ignore direction.
+    rng = random.Random(2020)
+    arc_rng = random.Random(2021)
+    split = refused = 0
+    for _ in range(100):
+        cells, edges, y = _random_acs_grid(rng)
+        for arcs, directed in ((edges, False), (random_orientation(arc_rng, edges), True)):
+            grid = Graph(cells, arcs, directed)
+            for label in ("acs-b", "acs-b-star", "acs-b-dagger"):
+                want = oracle_acs_big(cells, arcs, y, 5, label)
+                if isinstance(want, str):
+                    refused += 1
+                    with pytest.raises(InfeasibleError, match=re.escape(want)):
+                        acs_big(grid, y, 5, AncestorRule.parse(label))
+                    continue
+                networks, edge_grids, beta = want
+                big = acs_big(grid, y, 5, AncestorRule.parse(label))
+                assert big.acs.networks == networks
+                assert big.acs.edge_grids == edge_grids
+                assert [(k, big.ancestors(k)) for k in big.motifs.keys()] == list(beta.items())
+                split += len(networks) > 1
+    assert split and refused
 
 
 def test_acs_feasibility_expands_once_per_unit(monkeypatch):

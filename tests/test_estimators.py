@@ -332,6 +332,24 @@ def test_srswor_closed_form_requires_srswor():
         srswor_equal_share_delta(big, d)
 
 
+def test_delta_matrices_refuse_more_entries_than_the_cap(monkeypatch):
+    big = _demo_big()
+    d = Design.srswor(big.frame, 2)
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 9)
+    assert len(delta_matrix(big, d, WeightScheme.equal_share()).entries) == 9
+    assert len(srswor_equal_share_delta(big, d).entries) == 9
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 8)
+    with pytest.raises(EnumerationCapError, match="9 entries"):
+        delta_matrix(big, d, WeightScheme.equal_share())
+    with pytest.raises(EnumerationCapError, match="9 entries"):
+        srswor_equal_share_delta(big, d)
+    # The refusal comes before any pair is priced: pricing this pair fails.
+    disjoint = _make_big(["a", "b"], {"x": ["a"], "y": ["b"]}, {"x": 1, "y": 1})
+    monkeypatch.setattr("bigs.design.DEFAULT_ENUMERATION_CAP", 3)
+    with pytest.raises(EnumerationCapError, match="4 entries"):
+        delta_matrix(disjoint, Design.srswor(["a", "b"], 1), WeightScheme.equal_share())
+
+
 def test_monte_carlo_is_seed_deterministic():
     pop = thompson1990()
     big = pop.bigs["acs-b-star"]

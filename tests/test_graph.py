@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bigs import (Graph, INFINITE, ParseError, connected_components, geodesics,
+from bigs import (Graph, ParseError, connected_components, geodesics,
                   hypernode_transform, load_edge_list)
 
 from oracles import all_pairs_shortest, bfs_distances, build_adjacency, random_graph
@@ -66,14 +66,6 @@ def test_geodesics_match_floyd_warshall_on_random_graphs():
         for u in nodes:
             for v in nodes:
                 assert geo.distance(u, v) == ref[(u, v)]
-
-
-def test_geodesic_distance_to_set():
-    g = Graph(edges=[("1", "2"), ("2", "3"), ("3", "4")], nodes=["5"])
-    geo = geodesics(g)
-    assert geo.distance_to_set("1", ["3", "4"]) == 2
-    assert geo.distance_to_set("1", ["5"]) == INFINITE
-    assert geo.distance_to_set("1", []) == INFINITE
 
 
 def test_connected_components_against_bfs():

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from bigs import (Graph, INFINITE, Motif, MotifClass, MotifSet,
-                  ancestor_neighborhood, enumerate_motifs, geodesics,
-                  motif_diameter, observation_diameter, observation_distance)
+from bigs import (AncestorRule, Graph, INFINITE, InfeasibleError, Motif, MotifClass,
+                  MotifSet, ancestor_neighborhood, enumerate_motifs, motif_diameter,
+                  observation_diameter, observation_distance, snowball_big)
 
-from oracles import (PATTERNS, build_adjacency, count_induced_occurrences,
-                     observation_stage_oracle, random_graph)
+from oracles import (PATTERNS, all_pairs_shortest, build_adjacency,
+                     count_induced_occurrences, observation_stage_oracle, random_graph,
+                     random_orientation)
 
 # Isolated embeddings of each fixed pattern class, with the expected motif
 # diameter (largest member geodesic) and observation diameter (stages until
@@ -104,7 +105,7 @@ def test_table_of_pattern_diameters():
         motifs = enumerate_motifs(g, MotifClass.parse(name))
         assert len(motifs) == 1
         motif = motifs.motifs[0]
-        lam.append(motif_diameter(motif, geodesics(g)))
+        lam.append(motif_diameter(motif, g))
         phi.append(observation_diameter(motif, g))
         assert lam[-1] == want_lam
         assert phi[-1] == want_phi
@@ -157,29 +158,78 @@ def test_external_node_distances_on_a_path():
     assert observation_distance(motif, "5", g) == 4
 
 
+def _check_member_helpers(g, motif, nodes, adj, dist):
+    """The three member-set helpers and the snowball BIG stage counts
+    against the oracles on the undirected edges."""
+    members = sorted(motif.members)
+    lam = max(dist[(a, b)] for a in members for b in members)
+    phi = max(observation_stage_oracle(adj, a, members) for a in members)
+    assert motif_diameter(motif, g) == lam
+    assert observation_diameter(motif, g) == phi
+    single = MotifSet([motif])
+    if phi == INFINITE:
+        with pytest.raises(InfeasibleError, match="mutually unreachable"):
+            snowball_big(g, single, AncestorRule.motif_only())
+    else:
+        assert snowball_big(g, single, AncestorRule.motif_only()).stages_required == phi
+    for t in (1, 2):
+        near = ancestor_neighborhood(motif, g, t)
+        assert near == {u for u in nodes if u not in motif.members
+                        and min(dist[(u, a)] for a in members) <= t}
+        if lam == INFINITE:
+            with pytest.raises(InfeasibleError):
+                snowball_big(g, single, AncestorRule.motif_plus(t))
+        else:
+            plus = snowball_big(g, single, AncestorRule.motif_plus(t))
+            assert plus.stages_required == lam + 2 * t
+            assert plus.ancestors(motif.key) == motif.members | near
+
+
 def test_observation_distance_matches_stage_oracle_on_random_graphs():
+    # Each graph is checked as given and as a directed copy whose arcs point
+    # either way or both; distances ignore direction, so both answer to the
+    # oracles on the undirected edges. Random member sets may be split
+    # across components.
     rng = random.Random(9090)
+    arc_rng = random.Random(9091)
     checked = 0
     for _ in range(30):
         nodes, edges = random_graph(rng, max_nodes=7)
-        g = Graph(nodes, edges)
         adj = build_adjacency(nodes, edges)
-        geo = geodesics(g)
-        for cls in ("k2", "s2", "k3", "s3", "component:4"):
-            for motif in enumerate_motifs(g, MotifClass.parse(cls)):
+        dist = all_pairs_shortest(nodes, edges)
+        sizes = [arc_rng.randint(1, min(4, len(nodes))) for _ in range(4)]
+        picked = [Motif(f"r{i}", frozenset(arc_rng.sample(nodes, size)))
+                  for i, size in enumerate(sizes)]
+        arcs = random_orientation(arc_rng, edges)
+        for g in (Graph(nodes, edges), Graph(nodes, arcs, directed=True)):
+            found = list(picked)
+            for cls in ("k2", "s2", "k3", "s3", "component:4"):
+                found.extend(enumerate_motifs(g, MotifClass.parse(cls)))
+            for motif in found:
                 for node in nodes:
                     want = observation_stage_oracle(adj, node, motif.members)
-                    got = observation_distance(motif, node, g, geo=geo)
+                    got = observation_distance(motif, node, g)
                     assert got == want, (sorted(edges), node, sorted(motif.members))
                     checked += 1
+                _check_member_helpers(g, motif, nodes, adj, dist)
     assert checked > 500
+
+
+def test_distances_ignore_direction_of_a_single_arc():
+    g = Graph(edges=[("x", "a")], directed=True)
+    motif = Motif("m", frozenset(["a", "x"]))
+    assert motif_diameter(motif, g) == 1
+    assert observation_diameter(motif, g) == 1
+    assert snowball_big(g, MotifSet([motif]), AncestorRule.motif_plus(1)).stages_required == 3
+    # An arc into a member puts its tail in the neighbourhood too.
+    inbound = Graph(edges=[("x", "a"), ("b", "x")], directed=True)
+    assert ancestor_neighborhood(motif, inbound, 1) == {"b"}
 
 
 def test_ancestor_neighborhood():
     g = Graph(edges=[("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")])
-    geo = geodesics(g)
     motif = Motif("m", frozenset(["2", "3"]))
-    assert ancestor_neighborhood(motif, geo, 1) == {"1", "4"}
-    assert ancestor_neighborhood(motif, geo, 2) == {"1", "4", "5"}
+    assert ancestor_neighborhood(motif, g, 1) == {"1", "4"}
+    assert ancestor_neighborhood(motif, g, 2) == {"1", "4", "5"}
     with pytest.raises(ValueError, match=">= 1"):
-        ancestor_neighborhood(motif, geo, 0)
+        ancestor_neighborhood(motif, g, 0)

@@ -1,14 +1,11 @@
 """Observation procedures: snowball, induced selection, adaptive clusters."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from bigs import (Graph, INFINITE, acs_sample, induced_sample, motif_observed,
-                  snowball_observation_distance, snowball_sample, thompson1990)
-
-from oracles import build_adjacency, random_graph, simulate_snowball_observation
+from bigs import (Graph, acs_sample, induced_sample, motif_observed, snowball_sample,
+                  thompson1990)
 
 PATH5 = Graph(edges=[("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")])
 
@@ -74,27 +71,6 @@ def test_induced_sample_only_keeps_internal_edges():
     assert motif_observed(s, ["1", "2"])
     assert motif_observed(s, ["1", "4"])
     assert not motif_observed(s, ["1", "3"])
-
-
-def test_observation_distance_simulation_matches_oracle():
-    rng = random.Random(555)
-    for _ in range(25):
-        nodes, edges = random_graph(rng, max_nodes=7)
-        g = Graph(nodes, edges)
-        adj = build_adjacency(nodes, edges)
-        for _ in range(6):
-            members = rng.sample(nodes, rng.randint(1, min(4, len(nodes))))
-            node = rng.choice(nodes)
-            want = simulate_snowball_observation(adj, node, members, len(nodes) + 1)
-            got = snowball_observation_distance(g, [node], members)
-            assert got == want or (got == INFINITE and want == INFINITE)
-
-
-def test_observation_distance_multi_seed_and_limit():
-    assert snowball_observation_distance(PATH5, ["1", "5"], ["2", "4"]) == 2
-    assert snowball_observation_distance(PATH5, ["1"], ["4", "5"], limit=2) == INFINITE
-    assert snowball_observation_distance(PATH5, ["1"], ["4", "5"]) == 4
-    assert snowball_observation_distance(PATH5, ["2"], ["2"]) == 0
 
 
 def test_acs_expansion_on_five_grid_strip():
