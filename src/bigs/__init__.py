@@ -32,8 +32,7 @@ from .estimators import (DeltaMatrix, EstimatorReport, EstimatorSpec,
                          exact_moments, hh_estimate,
                          ht_estimate, induced_ht_evaluator, induced_ht_moments,
                          induced_inclusion, monte_carlo_moments,
-                         rao_blackwellize,
-                         resolve_weights, sample_evaluator,
+                         rao_blackwellize, resolve_weights,
                          srswor_equal_share_delta, variance_difference)
 from .builtins import (BuiltinPopulation, builtin_population, reproduce,
                        reproduce_table4, reproduce_thompson1990,
@@ -58,8 +57,8 @@ __all__ = [
     "MonteCarloSummary", "WeightScheme", "delta_matrix", "enumerate_moments",
     "estimate", "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
     "induced_ht_moments", "induced_inclusion", "monte_carlo_moments",
-    "rao_blackwellize", "resolve_weights", "sample_evaluator",
-    "srswor_equal_share_delta", "variance_difference",
+    "rao_blackwellize", "resolve_weights", "srswor_equal_share_delta",
+    "variance_difference",
     "BuiltinPopulation", "builtin_population", "reproduce",
     "reproduce_table4", "reproduce_thompson1990", "table4_bigs",
     "thompson1990",

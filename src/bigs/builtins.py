@@ -21,7 +21,7 @@ from typing import Mapping
 from .big import ACS_B, ACS_B_DAGGER, ACS_B_STAR, AncestorRule, Big, acs_big
 from .design import Design, realize_sample_big
 from .estimators import (HH, HT, MEAN_PER_UNIT, MODIFIED_HT, EstimatorSpec,
-                         WeightScheme, estimate, exact_moments, sample_evaluator)
+                         WeightScheme, enumerate_moments, estimate)
 from .graph import Graph
 from .motifs import Motif, MotifSet
 
@@ -163,9 +163,10 @@ def reproduce_thompson1990() -> Table1Reproduction:
     )
     columns = []
     for label, big, spec in plans:
-        evaluate = sample_evaluator(design, big, spec)
-        estimates = tuple(evaluate(frozenset(s)) for s in TABLE1_SAMPLES)
-        moments = exact_moments(design, big, spec)
+        samples = []
+        (moments,) = enumerate_moments(design, big, [spec], samples=samples)
+        by_sample = {seeds: est for seeds, _, (est,) in samples}
+        estimates = tuple(by_sample[frozenset(s)] for s in TABLE1_SAMPLES)
         columns.append(StrategyColumn(label, estimates, moments.expectation,
                                       moments.variance))
     observed = tuple(realize_sample_big(pop.bigs[ACS_B], frozenset(s)).motifs

@@ -84,11 +84,16 @@ class Design:
             return comb(len(self.frame), self.n)
         return len(self.points)
 
-    def exclusion(self, units: Iterable[str]) -> Fraction:
-        """Probability that the initial sample misses every given unit."""
+    def _within_frame(self, units: Iterable[str]) -> frozenset[str]:
+        """The units as a set; ValueError when some lie outside the frame."""
         units = frozenset(str(u) for u in units)
         if not units <= self._frame_set:
             raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
+        return units
+
+    def exclusion(self, units: Iterable[str]) -> Fraction:
+        """Probability that the initial sample misses every given unit."""
+        units = self._within_frame(units)
         if self.kind == SRSWOR:
             N = len(self.frame)
             return Fraction(comb(N - len(units), self.n), comb(N, self.n))
@@ -103,15 +108,7 @@ class Design:
 
     def pair_inclusion(self, u: str, v: str) -> Fraction:
         """Probability that both units enter the initial sample."""
-        if u == v:
-            return self.unit_inclusion(u)
-        if self.kind == SRSWOR:
-            for w in (u, v):
-                if w not in self._frame_set:
-                    raise ValueError(f"unit {w!r} outside frame")
-            N = len(self.frame)
-            return Fraction(self.n * (self.n - 1), N * (N - 1))
-        return sum((p for s, p in self.points if u in s and v in s), Fraction(0))
+        return 1 - (self.exclusion([u]) + self.exclusion([v]) - self.exclusion([u, v]))
 
     def require_support(self, sample: Iterable[str]) -> frozenset[str]:
         """The sample as a set; DesignError unless the design can draw it."""

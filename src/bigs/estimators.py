@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from . import design as _design
-from .big import Big
+from .big import AncestorRule, Big
 from .design import (Design, SampleBig, SRSWOR, first_order_inclusion,
                      second_order_inclusion)
 from .errors import DesignError, EnumerationCapError, WeightError
@@ -234,15 +234,20 @@ class _Plan:
     row that the initial sample hits. HT has one row per motif k, hit when
     the sample meets β_k, with value y_k; HH has one row per frame unit i,
     hit when i is selected, with value z_i; modified HT is HT on the
-    eligibility Big. Rao-Blackwellization conditions on the motif set
-    observed on the original Big.
+    eligibility Big. With ``fully_selected`` a motif row is hit only when
+    the sample contains all of β_k: HT under induced observation is HT on
+    a Big whose β_k are the member sets. Rao-Blackwellization conditions
+    on the motif set observed on the original Big.
     """
 
-    def __init__(self, design: Design, big: Big, spec: EstimatorSpec):
+    def __init__(self, design: Design, big: Big, spec: EstimatorSpec,
+                 fully_selected: bool = False):
         self.design = design
         self.big = big
         self.spec = spec
+        self.fully_selected = fully_selected
         self.div = _scale_divisor(big, spec.scale)
+        self._groups: dict[frozenset[str], list[Fraction]] | None = None
         if spec.kind == HH:
             weights = resolve_weights(big, spec.weights)
             self.rows = big.frame
@@ -257,13 +262,22 @@ class _Plan:
             self.select = terms.successors
             self.hit_by = terms.ancestors
             self.value = big.motifs.y
-            self.pi = lambda key: first_order_inclusion(design, terms, key)
+            if fully_selected:
+                self.pi = lambda key: induced_inclusion(design, terms.ancestors(key))
+            else:
+                self.pi = lambda key: first_order_inclusion(design, terms, key)
+
+    def _hits(self, seeds: Iterable[str]) -> set:
+        """The rows that an initial sample hits."""
+        seeds = frozenset(seeds)
+        return {row for unit in seeds for row in self.select(unit)
+                if not self.fully_selected or self.hit_by(row) <= seeds}
 
     def report(self, seeds: Iterable[str]) -> EstimatorReport:
         """The estimate with a (row, π, share) entry for each row hit, in row order.
 
         Only the rows hit are priced, so one report stays cheap."""
-        hit = {row for unit in seeds for row in self.select(unit)}
+        hit = self._hits(seeds)
         rows = []
         total = Fraction(0)
         for row in self.rows:
@@ -279,6 +293,8 @@ class _Plan:
         # Terms as integers over their common denominator: one Fraction per draw.
         common = math.lcm(*(t.denominator for t in term.values()))
         scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
+        if self.fully_selected:
+            return lambda seeds: Fraction(sum(scaled[row] for row in self._hits(seeds)), common)
         index = {unit: tuple(self.select(unit)) for unit in self.big.frame}
 
         def evaluate(seeds: Iterable[str]) -> Fraction:
@@ -289,36 +305,47 @@ class _Plan:
 
         return evaluate
 
-    def srswor_moments(self) -> tuple[Fraction, Fraction]:
-        """(E[x], E[x²]) under SRSWOR from the pair probabilities, without a walk."""
-        values = [self.value(row) for row in self.rows]
-        second = _srswor_pair_sum(len(self.design.frame), self.design.n,
-                                  [self.hit_by(row) for row in self.rows], values)
-        return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
-
-    def _support(self, cap: int | None):
-        """(observed motif set, initial sample, probability) over the design."""
-        for seeds, p in self.design.enumerate(cap):
-            yield _observed(self.big, seeds), seeds, p
+    def _group_table(self, cap: int | None) -> dict[frozenset[str], list[Fraction]]:
+        """Observed motif set -> [Σp·x, Σp] over the design support, from one walk
+        made on first use."""
+        if self._groups is None:
+            base = self._unconditioned()
+            self._groups = defaultdict(lambda: [Fraction(0), Fraction(0)])
+            for seeds, p in self.design.enumerate(cap):
+                group = self._groups[_observed(self.big, seeds)]
+                group[0] += p * base(seeds)
+                group[1] += p
+        return self._groups
 
     def evaluator(self, cap: int | None = None) -> Callable[[Iterable[str]], Fraction]:
         """Seeds -> estimate; one draw costs the successor lists of its seeds."""
-        base = self._unconditioned()
         if not self.spec.rao_blackwell:
-            return base
-        groups: dict[frozenset[str], tuple[Fraction, Fraction]] = {}
-        for observed, seeds, p in self._support(cap):
-            num, den = groups.get(observed, (Fraction(0), Fraction(0)))
-            groups[observed] = (num + p * base(seeds), den + p)
-        means = {observed: num / den for observed, (num, den) in groups.items()}
+            return self._unconditioned()
+        means = {observed: num / den for observed, (num, den) in self._group_table(cap).items()}
         return lambda seeds: means[_observed(self.big, seeds)]
+
+    def moments(self, cap: int | None) -> tuple[Fraction, Fraction] | None:
+        """(E[x], E[x²]) without a walk of their own, or None when only a walk
+        gives them: the group table holds them for a Rao-Blackwellized spec,
+        as Σ num and Σ num²/den, and under SRSWOR the pair probabilities do."""
+        if self.spec.rao_blackwell:
+            groups = self._group_table(cap).values()
+            return (sum((num for num, _ in groups), Fraction(0)),
+                    sum((num * num / den for num, den in groups), Fraction(0)))
+        if self.design.kind != SRSWOR:
+            return None
+        values = [self.value(row) for row in self.rows]
+        second = _srswor_pair_sum(len(self.design.frame), self.design.n,
+                                  [self.hit_by(row) for row in self.rows], values,
+                                  fully_selected=self.fully_selected)
+        return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
 
     def conditioned(self, observed: SampleBig, cap: int | None = None) -> EstimatorReport:
         """Rao-Blackwell report: one row per initial sample observing the same motifs."""
         base = self._unconditioned()
         target = frozenset(observed.motifs)
-        points = [(seeds, p, base(seeds)) for motifs, seeds, p in self._support(cap)
-                  if motifs == target]
+        points = [(seeds, p, base(seeds)) for seeds, p in self.design.enumerate(cap)
+                  if _observed(self.big, seeds) == target]
         den = sum((p for _, p, _ in points), Fraction(0))
         if den == 0:
             raise DesignError("no initial sample realizes the observed motif set")
@@ -356,16 +383,6 @@ def rao_blackwellize(spec: EstimatorSpec, design: Design, big: Big,
     """Average the estimator over every initial sample that realizes the
     same observed motif set, weighted by the design probabilities."""
     return _Plan(design, big, spec).conditioned(observed, cap)
-
-
-def sample_evaluator(design: Design, big: Big, spec: EstimatorSpec,
-                     cap: int | None = None) -> Callable[[Iterable[str]], Fraction]:
-    """Compile the spec into a fast seeds -> estimate function.
-
-    Per-row terms are computed once up front; Rao-Blackwellized specs
-    average over the design support grouped by observed motif set.
-    """
-    return _Plan(design, big, spec).evaluator(cap)
 
 
 @dataclass(frozen=True)
@@ -479,37 +496,37 @@ def enumerate_moments(design: Design, big: Big, specs: Iterable[EstimatorSpec],
     """Exact moments of each spec.
 
     Under SRSWOR every spec but a Rao-Blackwellized one takes its moments
-    in closed form from the second-order inclusion probabilities. The rest
-    come from one walk over the design support that accumulates Σp·x and
-    Σp·x² per spec, so no support point is kept, unless ``samples`` is a
-    list: the walk then covers every spec and appends each point to it as
-    (initial sample, probability, one estimate per spec). Supports larger
-    than ``cap`` are refused either way.
+    in closed form from the second-order inclusion probabilities; a
+    Rao-Blackwellized spec reads them from its table of observed motif
+    sets, built in one walk. The rest share one walk over the support,
+    whose points (initial sample, probability, one estimate per spec) are
+    appended to ``samples`` when it is a list; the walk then covers every
+    spec. Supports larger than ``cap`` are refused either way.
     """
     plans = [_Plan(design, big, spec) for spec in specs]
     design.check_cap(cap)
-    raw = [plan.srswor_moments() if design.kind == SRSWOR and not plan.spec.rao_blackwell
-           else None for plan in plans]
-    walked = [j for j, moments in enumerate(raw) if moments is None]
-    if walked or samples is not None:
-        table = range(len(plans)) if samples is not None else walked
-        evaluators = {j: plans[j].evaluator(cap) for j in table}
-        sums = {j: [Fraction(0), Fraction(0)] for j in walked}
-        for seeds, p in design.enumerate(cap):
-            estimates = {j: evaluate(seeds) for j, evaluate in evaluators.items()}
-            for j, acc in sums.items():
-                weighted = p * estimates[j]
-                acc[0] += weighted
-                acc[1] += weighted * estimates[j]
-            if samples is not None:
-                samples.append((seeds, p, tuple(estimates.values())))
-        for j, (mean, square) in sums.items():
-            raw[j] = mean, square
+    return _summaries(design, plans, cap, samples)
+
+
+def _summaries(design: Design, plans: list[_Plan], cap: int | None = None,
+               samples: list | None = None) -> list[MomentSummary]:
+    """One summary per plan; the support cap is checked by the caller, since
+    closed-form induced moments are not bounded by it."""
+    raw = [plan.moments(cap) for plan in plans]
+    if samples is not None or None in raw:
+        points = [] if samples is None else samples
+        evaluators = [plan.evaluator(cap) for plan in plans]
+        points.extend((seeds, p, tuple(evaluate(seeds) for evaluate in evaluators))
+                      for seeds, p in design.enumerate(cap))
+        for j, moments in enumerate(raw):
+            if moments is None:
+                raw[j] = (sum((p * x[j] for _, p, x in points), Fraction(0)),
+                          sum((p * x[j] * x[j] for _, p, x in points), Fraction(0)))
     summaries = []
     for plan, (mean, square) in zip(plans, raw):
         # The probabilities sum to exactly one, so these equal the
         # probability-weighted squared deviations from the mean and target.
-        target = big.theta() / plan.div
+        target = plan.big.theta() / plan.div
         summaries.append(MomentSummary(mean, square - mean * mean,
                                        square - 2 * target * mean + target * target,
                                        target, plan.spec.scale, design.size))
@@ -547,7 +564,7 @@ def monte_carlo_moments(design: Design, big: Big, spec: EstimatorSpec,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rng = random.Random(seed)
-    evaluate = sample_evaluator(design, big, spec, cap=cap)
+    evaluate = _Plan(design, big, spec).evaluator(cap)
     values = [float(evaluate(design.draw(rng))) for _ in range(replicates)]
     r = replicates
     mean = math.fsum(values) / r
@@ -713,73 +730,45 @@ def variance_difference(delta: DeltaMatrix, motifs: MotifSet) -> Fraction:
     return delta.quadratic_form({key: motifs.y(key) for key in delta.keys})
 
 
-def induced_inclusion(design: Design, members: frozenset[str]) -> Fraction:
+def induced_inclusion(design: Design, members: Iterable[str]) -> Fraction:
     """Probability that every member is selected in the initial sample.
 
     This is the inclusion probability of a motif under the observation
     procedure that records only edges among initially selected nodes."""
-    members = frozenset(members)
+    members = design._within_frame(members)
     if design.kind == SRSWOR:
-        N = len(design.frame)
-        n = design.n
+        # C(N-m, n-m) / C(N, n) = n!/(n-m)! / (N!/(N-m)!), which perm makes 0 for m > n.
         m = len(members)
-        if m > n:
-            return Fraction(0)
-        return Fraction(math.comb(N - m, n - m), math.comb(N, n))
-    total = Fraction(0)
-    for point, p in design.points:
-        if members <= point:
-            total += p
-    return total
+        return Fraction(math.perm(design.n, m), math.perm(len(design.frame), m))
+    return sum((p for point, p in design.points if members <= point), Fraction(0))
 
 
-def _induced_terms(motifs: MotifSet, design: Design) -> list[tuple[frozenset[str], Fraction, Fraction]]:
-    """(members, y, probability of full selection) per motif."""
-    terms = []
+def _induced_plan(motifs: MotifSet, design: Design, scale: str) -> _Plan:
+    """HT on the Big whose β_k are the member sets, a motif entering only
+    when the sample contains all of its members."""
     for m in motifs:
-        if m.members is None:
+        if not m.members:
             raise DesignError(f"motif {m.key!r} has no member set")
-        pi = induced_inclusion(design, m.members)
-        if pi == 0:
+        if induced_inclusion(design, m.members) == 0:
             raise DesignError(
                 f"motif {m.key!r} can never be fully selected under this design")
-        terms.append((m.members, motifs.y(m.key), pi))
-    return terms
+    members = Big(design.frame, motifs, {m.key: m.members for m in motifs},
+                  AncestorRule.motif_only())
+    return _Plan(design, members, EstimatorSpec(HT, scale=scale), fully_selected=True)
 
 
 def induced_ht_evaluator(motifs: MotifSet, design: Design,
                          scale: str = TOTAL) -> Callable[[Iterable[str]], Fraction]:
     """Seeds -> HT estimate when motifs are observed only if fully selected."""
-    div = len(design.frame) if scale == MEAN_PER_UNIT else 1
-    terms = [(members, y / pi / div) for members, y, pi in _induced_terms(motifs, design)]
-
-    def evaluate(seeds: Iterable[str]) -> Fraction:
-        s0 = frozenset(seeds)
-        return sum((t for members, t in terms if members <= s0), Fraction(0))
-
-    return evaluate
+    return _induced_plan(motifs, design, scale).evaluator()
 
 
 def induced_ht_moments(motifs: MotifSet, design: Design,
                        scale: str = TOTAL) -> MomentSummary:
     """Exact moments of the fully-selected-motif HT estimator.
 
-    Works from pairwise joint selection probabilities, grouped by set sizes
-    under SRSWOR, so it stays cheap even when the design support is too
-    large to enumerate."""
-    div = len(design.frame) if scale == MEAN_PER_UNIT else 1
-    items = _induced_terms(motifs, design)
-    theta = sum((y for _, y, _ in items), Fraction(0))
-    if design.kind == SRSWOR:
-        second = _srswor_pair_sum(len(design.frame), design.n,
-                                  [members for members, _, _ in items],
-                                  [y for _, y, _ in items], fully_selected=True)
-    else:
-        second = Fraction(0)
-        for members_k, y_k, pi_k in items:
-            for members_l, y_l, pi_l in items:
-                joint = induced_inclusion(design, members_k | members_l)
-                second += y_k * y_l * joint / (pi_k * pi_l)
-    variance = (second - theta * theta) / (div * div)
-    target = theta / div
-    return MomentSummary(target, variance, variance, target, scale, design.size)
+    Under SRSWOR they come from the pair probabilities, grouped by set
+    sizes, so no support is walked and none is refused as too large; a
+    listed design is walked once."""
+    (summary,) = _summaries(design, [_induced_plan(motifs, design, scale)])
+    return summary

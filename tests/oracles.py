@@ -449,3 +449,42 @@ def oracle_induced_moments(frame, n, members_by_key, y):
     expectation = sum(estimates, Fraction(0)) * p
     variance = sum(((e - expectation) ** 2 for e in estimates), Fraction(0)) * p
     return expectation, variance
+
+
+def oracle_point_estimator(points, beta, y, kind):
+    """sample -> estimate, with inclusion probabilities summed over the
+    listed (sample, probability) points. "ht" adds y_k / π_k over the
+    motifs whose ancestor set the sample meets; "hh:equal-share" adds
+    z_u / π_u over the sampled units, z_u = Σ y_k / |β_k| over the motifs
+    that u is an ancestor of."""
+    if kind == "ht":
+        pi = {k: sum(p for s, p in points if s & anc) for k, anc in beta.items()}
+        return lambda s: sum((y[k] / pi[k] for k, anc in beta.items() if s & anc),
+                             Fraction(0))
+    z = {}
+    for k, anc in beta.items():
+        for u in anc:
+            z[u] = z.get(u, Fraction(0)) + y[k] / len(anc)
+    pi = {u: sum(p for s, p in points if u in s) for u in z}
+    return lambda s: sum((z[u] / pi[u] for u in s if u in z), Fraction(0))
+
+
+def oracle_rb_moments(points, beta, estimate):
+    """Moments of the Rao-Blackwellized estimator: the (sample, probability)
+    points are grouped by the motifs they observe, those whose ancestor set
+    in ``beta`` the sample meets; ``estimate`` is averaged within each group
+    with the probabilities as weights, and every sample in a group takes
+    its mean."""
+    groups = {}
+    for s, p in points:
+        observed = frozenset(k for k, anc in beta.items() if s & anc)
+        groups.setdefault(observed, []).append((s, p))
+    value = {}
+    for members in groups.values():
+        mass = sum(p for _, p in members)
+        mean = sum(p * estimate(s) for s, p in members) / mass
+        for s, _ in members:
+            value[s] = mean
+    expectation = sum(p * value[s] for s, p in points)
+    variance = sum(p * (value[s] - expectation) ** 2 for s, p in points)
+    return expectation, variance

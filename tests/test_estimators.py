@@ -9,11 +9,11 @@ import pytest
 
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   EstimatorSpec, Graph, Motif, MotifSet, SampleBig, WeightError,
-                  WeightScheme, acs_big, delta_matrix, estimate,
+                  WeightScheme, acs_big, delta_matrix, enumerate_moments, estimate,
                   exact_moments, hh_estimate, ht_estimate, induced_ht_evaluator,
                   induced_ht_moments, induced_inclusion,
                   monte_carlo_moments, rao_blackwellize, realize_sample_big,
-                  resolve_weights, sample_evaluator, srswor_equal_share_delta,
+                  resolve_weights, srswor_equal_share_delta,
                   thompson1990, variance_difference)
 
 from oracles import (oracle_hh_moments, oracle_ht_moments,
@@ -228,17 +228,17 @@ def test_sample_evaluator_agrees_with_report_functions():
     pop = thompson1990()
     big = pop.bigs["acs-b"]
     d = pop.design
-    ht_eval = sample_evaluator(d, big, EstimatorSpec.parse("ht"))
-    hh_eval = sample_evaluator(d, big, EstimatorSpec.parse("hh:inverse-alpha"))
-    mod_eval = sample_evaluator(d, big, EstimatorSpec.parse("modified-ht"))
-    rb_eval = sample_evaluator(d, big, EstimatorSpec.parse("rb:modified-ht"))
-    for seeds, _ in d.enumerate():
+    specs = [EstimatorSpec.parse(label)
+             for label in ("ht", "hh:inverse-alpha", "modified-ht", "rb:modified-ht")]
+    samples = []
+    enumerate_moments(d, big, specs, samples=samples)
+    for seeds, _, (ht_value, hh_value, mod_value, rb_value) in samples:
         sample = realize_sample_big(big, seeds)
-        assert ht_eval(seeds) == ht_estimate(sample, d, big).estimate
-        assert hh_eval(seeds) == hh_estimate(
+        assert ht_value == ht_estimate(sample, d, big).estimate
+        assert hh_value == hh_estimate(
             sample, d, big, WeightScheme.inverse_alpha()).estimate
-        assert mod_eval(seeds) == estimate(MODIFIED, d, big, sample).estimate
-        assert rb_eval(seeds) == rao_blackwellize(
+        assert mod_value == estimate(MODIFIED, d, big, sample).estimate
+        assert rb_value == rao_blackwellize(
             EstimatorSpec.parse("modified-ht"), d, big, sample).estimate
 
 
@@ -416,9 +416,42 @@ def test_induced_ht_rejects_never_selected_motifs():
     wide = MotifSet([Motif("m", frozenset(["a", "b", "c"]))])
     with pytest.raises(DesignError, match="never be fully selected"):
         induced_ht_evaluator(wide, d)
-    nameless = MotifSet([Motif("m")])
-    with pytest.raises(DesignError, match="no member set"):
-        induced_ht_evaluator(nameless, d)
+    for members in (None, frozenset()):
+        nameless = MotifSet([Motif("m", members)])
+        with pytest.raises(DesignError, match="no member set"):
+            induced_ht_evaluator(nameless, d)
+        with pytest.raises(DesignError, match="no member set"):
+            induced_ht_moments(nameless, d)
+
+
+def test_inclusion_probabilities_refuse_units_outside_the_frame():
+    srs = Design.srswor("abc", 2)
+    listed = Design.enumerated("abc", [("ab", Fraction(1, 3)), ("bc", Fraction(1, 3)),
+                                       ("ac", Fraction(1, 3))])
+    outside = MotifSet([Motif("d", frozenset("xy"))])
+    for d in (srs, listed):
+        with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
+            d.pair_inclusion("a", "x")
+        # Under SRSWOR this was once priced as C(3-2, 0) / C(3, 2) = 1/3.
+        with pytest.raises(ValueError, match=r"units outside frame: \['x', 'y'\]"):
+            induced_inclusion(d, frozenset("xy"))
+        with pytest.raises(ValueError, match="outside frame"):
+            induced_ht_moments(outside, d)
+
+
+def test_rao_blackwell_moments_walk_the_design_once(monkeypatch):
+    calls = []
+    walk = Design.enumerate
+
+    def counted(self, cap=None):
+        calls.append(cap)
+        return walk(self, cap)
+
+    monkeypatch.setattr(Design, "enumerate", counted)
+    pop = thompson1990()
+    spec = EstimatorSpec.parse("rb:modified-ht")
+    assert exact_moments(pop.design, pop.bigs["acs-b"], spec).expectation == 1013
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rule", ["acs-b", "acs-b-star", "acs-b-dagger"])
@@ -444,12 +477,13 @@ def test_engine_modified_ht_is_ht_on_the_self_only_representation():
         b = acs_big(grid, y, 5, AncestorRule.acs_b())
         star = acs_big(grid, y, 5, AncestorRule.acs_b_star())
         d = Design.srswor(b.frame, rng.randint(1, 2))
-        rb_eval = sample_evaluator(d, b, EstimatorSpec.parse("rb:modified-ht"))
-        for seeds, _ in d.enumerate():
+        samples = []
+        enumerate_moments(d, b, [EstimatorSpec.parse("rb:modified-ht")], samples=samples)
+        for seeds, _, (rb_value,) in samples:
             sample = realize_sample_big(b, seeds)
             assert (estimate(MODIFIED, d, b, sample)
                     == ht_estimate(realize_sample_big(star, seeds), d, star))
-            assert rao_blackwellize(MODIFIED, d, b, sample).estimate == rb_eval(seeds)
+            assert rao_blackwellize(MODIFIED, d, b, sample).estimate == rb_value
 
 
 def test_engine_reports_equal_evaluators_on_random_incidence_graphs():
@@ -460,11 +494,12 @@ def test_engine_reports_equal_evaluators_on_random_incidence_graphs():
         d = Design.srswor(frame, rng.randint(1, len(frame)))
         for label in ("ht", "hh:equal-share", "hh:inverse-alpha"):
             spec = EstimatorSpec.parse(label)
-            evaluate = sample_evaluator(d, big, spec)
-            for seeds, _ in d.enumerate():
+            samples = []
+            enumerate_moments(d, big, [spec], samples=samples)
+            for seeds, _, (value,) in samples:
                 sample = realize_sample_big(big, seeds)
                 report = estimate(spec, d, big, sample)
-                assert report.estimate == evaluate(seeds)
+                assert report.estimate == value
                 rows = [row[0] for row in report.contributions]
                 if spec.kind == "hh":
                     assert rows == [u for u in frame if u in seeds]

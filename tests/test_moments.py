@@ -1,11 +1,12 @@
-"""Closed-form SRSWOR moments against enumeration.
+"""Closed-form SRSWOR moments and Rao-Blackwell group tables against enumeration.
 
 Under SRSWOR the HT, HH, modified HT and induced HT moments and the
 variance-difference matrix come from second-order inclusion
-probabilities, never walking the design support. Here they must equal,
-exactly, the counting oracles in tests/oracles.py or the same estimator
-on the SRSWOR design written out as an enumerated design, which takes the
-walk.
+probabilities, never walking the design support; Rao-Blackwellized
+moments come from one table of observed motif sets. Here they must
+equal, exactly, the counting oracles in tests/oracles.py or the same
+estimator on the SRSWOR design written out as an enumerated design,
+which takes the walk.
 """
 
 import itertools
@@ -18,7 +19,9 @@ from bigs import (AncestorRule, Big, Design, DesignError, EstimatorSpec, Graph, 
                   MotifSet, WeightScheme, acs_big, delta_matrix, exact_moments,
                   induced_ht_moments)
 
-from oracles import oracle_hh_moments, oracle_ht_moments, oracle_induced_moments
+from oracles import (oracle_acs_big, oracle_hh_moments, oracle_ht_moments,
+                     oracle_induced_moments, oracle_point_estimator, oracle_rb_moments,
+                     srswor_samples)
 
 SCALES = ("total", "mean")
 
@@ -61,7 +64,12 @@ def acs_grid(rows, values):
     cells = [f"r{r}c{c}" for r in range(rows) for c in range(2)]
     edges = [(f"r{r}c0", f"r{r}c1") for r in range(rows)]
     edges += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(rows - 1) for c in range(2)]
-    return Graph(cells, edges), dict(zip(cells, values))
+    return cells, edges, dict(zip(cells, values))
+
+
+def assert_moments(got, expectation, variance, div):
+    assert (got.expectation, got.variance) == (expectation / div, variance / (div * div))
+    assert got.mse == got.variance + got.bias ** 2
 
 
 _SINGLETON = (["u0"], [{"u0"}, {"u0"}], [Fraction(-3, 2), Fraction(7)], 1, "mean",
@@ -91,9 +99,16 @@ def test_closed_form_moments_equal_enumeration(instance):
         want[f"hh:{scheme}"] = oracle_hh_moments(frame, n, beta, ys, scheme)
     for label, (expectation, variance) in want.items():
         got = exact_moments(srs, big, EstimatorSpec.parse(label, scale=scale))
-        assert (got.expectation, got.variance) == (expectation / div, variance / (div * div))
-        assert got.mse == got.variance + got.bias ** 2
+        assert_moments(got, expectation, variance, div)
         assert got.support == comb(N, n)
+
+    points = [(s, Fraction(1, comb(N, n))) for s in srswor_samples(frame, n)]
+    for label in ("ht", "hh:equal-share"):
+        expectation, variance = oracle_rb_moments(
+            points, beta, oracle_point_estimator(points, beta, ys, label))
+        for design in (srs, twin):
+            got = exact_moments(design, big, EstimatorSpec.parse(f"rb:{label}", scale=scale))
+            assert_moments(got, expectation, variance, div)
 
     for scheme in (WeightScheme.equal_share(), WeightScheme.inverse_alpha()):
         closed = delta_or_refusal(big, srs, scheme)
@@ -110,10 +125,14 @@ def test_closed_form_moments_equal_enumeration(instance):
                                                        {k: ys[k] for k in small})
         got = induced_ht_moments(motifs, srs, scale)
         assert (got.expectation, got.variance) == (expectation / div, variance / (div * div))
+        assert induced_ht_moments(motifs, twin, scale) == got
 
-    grid, grid_values = acs_grid(rows, grid_y)
-    grid_srs = Design.srswor(grid.labels, grid_n)
+    cells, grid_edges, grid_values = acs_grid(rows, grid_y)
+    grid = Graph(cells, grid_edges)
+    grid_srs = Design.srswor(cells, grid_n)
     grid_twin = enumerated_twin(grid_srs)
+    grid_points = [(s, Fraction(1, comb(len(cells), grid_n)))
+                   for s in srswor_samples(cells, grid_n)]
     for rule in (AncestorRule.acs_b(), AncestorRule.acs_b_star()):
         acs = acs_big(grid, grid_values, 5, rule)
         for label in ("modified-ht", "ht"):
@@ -121,4 +140,13 @@ def test_closed_form_moments_equal_enumeration(instance):
             closed = exact_moments(grid_srs, acs, spec)
             walked = exact_moments(grid_twin, acs, spec)
             assert closed == walked
+        # Modified HT is HT with each edge grid as its own only ancestor.
+        _, edge_grids, observe = oracle_acs_big(cells, grid_edges, grid_values, 5, rule.kind)
+        eligible = {k: frozenset([k]) if k in edge_grids else anc for k, anc in observe.items()}
+        y = {k: Fraction(v) for k, v in grid_values.items()}
+        expectation, variance = oracle_rb_moments(
+            grid_points, observe, oracle_point_estimator(grid_points, eligible, y, "ht"))
+        for design in (grid_srs, grid_twin):
+            got = exact_moments(design, acs, EstimatorSpec.parse("rb:modified-ht", scale=scale))
+            assert_moments(got, expectation, variance, len(cells) if scale == "mean" else 1)
 

@@ -18,7 +18,7 @@ def test_every_exported_name_imports():
 
 def test_removed_aliases_are_not_exported():
     for name in ("enumerate_design", "exclusion_probability", "modified_ht_acs",
-                 "snowball_observation_distance"):
+                 "snowball_observation_distance", "sample_evaluator"):
         assert name not in bigs.__all__
         assert not hasattr(bigs, name)
 
