@@ -31,7 +31,7 @@ from .estimators import (DeltaMatrix, EstimatorReport, EstimatorSpec,
                          delta_matrix, enumerate_moments, estimate,
                          exact_moments, hh_estimate,
                          ht_estimate, induced_ht_evaluator, induced_ht_moments,
-                         induced_inclusion, monte_carlo_moments,
+                         monte_carlo_moments,
                          rao_blackwellize, resolve_weights,
                          srswor_equal_share_delta, variance_difference)
 from .builtins import (BuiltinPopulation, builtin_population, reproduce,
@@ -56,7 +56,7 @@ __all__ = [
     "DeltaMatrix", "EstimatorReport", "EstimatorSpec", "MomentSummary",
     "MonteCarloSummary", "WeightScheme", "delta_matrix", "enumerate_moments",
     "estimate", "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
-    "induced_ht_moments", "induced_inclusion", "monte_carlo_moments",
+    "induced_ht_moments", "monte_carlo_moments",
     "rao_blackwellize", "resolve_weights", "srswor_equal_share_delta",
     "variance_difference",
     "BuiltinPopulation", "builtin_population", "reproduce",

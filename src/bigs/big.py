@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .design import to_fraction
 from .errors import InfeasibleError, ParseError
 from .graph import Graph, INFINITE, connected_components
-from .motifs import (Motif, MotifSet, _member_distances, _member_indices, _observation_stage,
-                     to_fraction)
+from .motifs import Motif, MotifSet, _member_distances, _member_indices, _observation_stage
 from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
 
 FULL = "full"
@@ -406,7 +406,7 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             checks += 1
             if u not in covered:
                 violations.append(f"unit {u!r} missing from the design frame")
-            elif design.unit_inclusion(u) == 0:
+            elif design.inclusion((u,)) == 0:
                 violations.append(f"unit {u!r} has zero selection probability")
     if graph is not None:
         if big.rule.kind in _ACS_KINDS:

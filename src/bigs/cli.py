@@ -268,7 +268,7 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             raise ValueError("adaptive-cluster rules need --y-values FILE and "
                              "--threshold VALUE")
         y = _parse_y_values(cfg.y_values)
-        big = acs_big(graph, y, Fraction(cfg.threshold), rule)
+        big = acs_big(graph, y, cfg.threshold, rule)
     else:
         motifs = _merge_motif_sets([ms for _, ms in _enumerate_classes(cfg, graph)])
         if not motifs:

@@ -4,9 +4,11 @@ All probabilities on the exact paths are fractions.Fraction. A design is
 either simple random sampling without replacement (SRSWOR) over a frame,
 or an explicitly enumerated distribution over initial samples.
 
-The probability that a motif is observed equals one minus the probability
-that its ancestor set is missed entirely; jointly, two motifs are both
-observed with probability 1 - (miss(A) + miss(B) - miss(A union B)).
+``Design`` prices every unit set under one of two hit rules: the sample
+meets the set (a motif is observed when some ancestor is selected), or
+it contains all of it (induced observation sees a motif only when every
+member is selected). Two sets are both met with probability
+π_A + π_B - π_(A ∪ B); both are contained exactly when their union is.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import DesignError, EnumerationCapError, InfeasibleError, ParseError
+from .errors import DesignError, EnumerationCapError, ParseError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -27,10 +30,18 @@ SRSWOR = "srswor"
 ENUMERATED = "enumerated"
 
 
+def to_fraction(value) -> Fraction:
+    """Exact value of a number or numeric string; floats by their shortest repr."""
+    if isinstance(value, float):
+        return Fraction(str(value))
+    return Fraction(value)
+
+
 class Design:
     """A fixed-size-or-listed initial sampling design over a unit frame."""
 
-    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_cumulative")
+    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_cumulative", "_samples",
+                 "_by_size")
 
     def __init__(self, kind, frame, n=None, points=None):
         frame = tuple(str(u) for u in frame)
@@ -47,6 +58,8 @@ class Design:
         if kind == SRSWOR:
             if n is None or not 1 <= n <= len(frame):
                 raise DesignError(f"SRSWOR size must be in 1..{len(frame)}")
+            self._samples = comb(len(frame), n)
+            self._by_size: dict[tuple[int, bool], Fraction] = {}
         elif kind == ENUMERATED:
             if not points:
                 raise DesignError("enumerated design has no support points")
@@ -74,41 +87,82 @@ class Design:
 
     @classmethod
     def enumerated(cls, frame: Iterable[str], points) -> "Design":
-        pts = tuple((frozenset(str(u) for u in s), Fraction(p)) for s, p in points)
+        pts = tuple((frozenset(str(u) for u in s), to_fraction(p)) for s, p in points)
         return cls(ENUMERATED, frame, points=pts)
 
     @property
     def size(self) -> int:
         """Number of support points."""
-        if self.kind == SRSWOR:
-            return comb(len(self.frame), self.n)
-        return len(self.points)
+        return self._samples if self.kind == SRSWOR else len(self.points)
 
     def _within_frame(self, units: Iterable[str]) -> frozenset[str]:
         """The units as a set; ValueError when some lie outside the frame."""
-        units = frozenset(str(u) for u in units)
+        units = frozenset(map(str, units))
         if not units <= self._frame_set:
             raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
         return units
 
-    def exclusion(self, units: Iterable[str]) -> Fraction:
-        """Probability that the initial sample misses every given unit."""
+    def _hits(self, m: int, fully_selected: bool) -> int:
+        """SRSWOR samples that meet, or with ``fully_selected`` contain, m given units."""
+        N, n = len(self.frame), self.n
+        if fully_selected:
+            return comb(N - m, n - m) if m <= n else 0
+        return self._samples - comb(N - m, n)
+
+    def inclusion(self, units: Iterable[str], fully_selected: bool = False) -> Fraction:
+        """Probability that the initial sample meets the units or, with
+        ``fully_selected``, contains all of them."""
         units = self._within_frame(units)
         if self.kind == SRSWOR:
-            N = len(self.frame)
-            return Fraction(comb(N - len(units), self.n), comb(N, self.n))
-        return sum((p for s, p in self.points if not s & units), Fraction(0))
+            # Priced once per set size; HH prices every frame unit as a singleton.
+            size = len(units), fully_selected
+            got = self._by_size.get(size)
+            if got is None:
+                got = self._by_size[size] = Fraction(self._hits(*size), self._samples)
+            return got
+        if fully_selected:
+            return sum((p for s, p in self.points if units <= s), Fraction(0))
+        return sum((p for s, p in self.points if s & units), Fraction(0))
 
-    def unit_inclusion(self, unit: str) -> Fraction:
+    def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
+        """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR, for rows k, l hit
+        through unit sets of sizes a and b with a union of u.
+
+        A row is hit under the rule of ``inclusion``; each ratio is priced
+        once from sample counts."""
+        if self.kind != SRSWOR:
+            raise DesignError("pricing by set sizes needs a simple random sampling design")
+
+        @cache
+        def ratio(a: int, b: int, u: int) -> Fraction:
+            hit_a, hit_b, hit_u = (self._hits(m, fully_selected) for m in (a, b, u))
+            both = hit_u if fully_selected else hit_a + hit_b - hit_u
+            return Fraction(self._samples * both, hit_a * hit_b)
+
+        return ratio
+
+    def pair_ratio(self) -> Callable[[frozenset[str], frozenset[str]], Fraction]:
+        """(A, B) -> π_AB / (π_A π_B), where π_A is the probability that the
+        sample meets A and π_AB that it meets both sets.
+
+        Under SRSWOR the ratio is priced once per size triple (|A|, |B|,
+        |A ∪ B|); on a listed design each set is priced once."""
         if self.kind == SRSWOR:
-            if unit not in self._frame_set:
-                raise ValueError(f"unit {unit!r} outside frame")
-            return Fraction(self.n, len(self.frame))
-        return 1 - self.exclusion([unit])
+            sized = self.size_ratio()
 
-    def pair_inclusion(self, u: str, v: str) -> Fraction:
-        """Probability that both units enter the initial sample."""
-        return 1 - (self.exclusion([u]) + self.exclusion([v]) - self.exclusion([u, v]))
+            def ratio(A: frozenset[str], B: frozenset[str]) -> Fraction:
+                union = A | B
+                if not union <= self._frame_set:
+                    self._within_frame(union)  # raises the out-of-frame error
+                return sized(len(A), len(B), len(union))
+        else:
+            pi = cache(self.inclusion)
+
+            def ratio(A: frozenset[str], B: frozenset[str]) -> Fraction:
+                pi_a, pi_b = pi(A), pi(B)
+                return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
+
+        return ratio
 
     def require_support(self, sample: Iterable[str]) -> frozenset[str]:
         """The sample as a set; DesignError unless the design can draw it."""
@@ -169,18 +223,13 @@ class Design:
 
 def first_order_inclusion(design: Design, big, key: str) -> Fraction:
     """Probability that the motif is observed under the design and BIG."""
-    ancestors = big.ancestors(key)
-    if not ancestors:
-        raise InfeasibleError(f"motif {key!r} has no ancestors")
-    return 1 - design.exclusion(ancestors)
+    return design.inclusion(big.ancestors(key))
 
 
 def second_order_inclusion(design: Design, big, k: str, l: str) -> Fraction:
     """Probability that both motifs are observed."""
     bk, bl = big.ancestors(k), big.ancestors(l)
-    if not bk or not bl:
-        raise InfeasibleError("motif with empty ancestor set")
-    return 1 - (design.exclusion(bk) + design.exclusion(bl) - design.exclusion(bk | bl))
+    return design.inclusion(bk) + design.inclusion(bl) - design.inclusion(bk | bl)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from typing import Callable, Iterable, Mapping
 
 from . import design as _design
 from .big import AncestorRule, Big
-from .design import (Design, SampleBig, SRSWOR, first_order_inclusion,
-                     second_order_inclusion)
+from .design import Design, SampleBig, SRSWOR, to_fraction
 from .errors import DesignError, EnumerationCapError, WeightError
-from .motifs import MotifSet, to_fraction
+from .motifs import MotifSet
 
 TOTAL = "total"
 MEAN_PER_UNIT = "mean"
@@ -255,17 +254,16 @@ class _Plan:
             self.value = lambda unit: sum(
                 (weights[key][unit] * big.motifs.y(key) for key in big.successors(unit)),
                 Fraction(0))
-            self.pi = design.unit_inclusion
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.rows = terms.motifs.keys()
             self.select = terms.successors
             self.hit_by = terms.ancestors
             self.value = big.motifs.y
-            if fully_selected:
-                self.pi = lambda key: induced_inclusion(design, terms.ancestors(key))
-            else:
-                self.pi = lambda key: first_order_inclusion(design, terms, key)
+
+    def pi(self, row) -> Fraction:
+        """The probability that the initial sample hits the row."""
+        return self.design.inclusion(self.hit_by(row), self.fully_selected)
 
     def _hits(self, seeds: Iterable[str]) -> set:
         """The rows that an initial sample hits."""
@@ -335,8 +333,7 @@ class _Plan:
         if self.design.kind != SRSWOR:
             return None
         values = [self.value(row) for row in self.rows]
-        second = _srswor_pair_sum(len(self.design.frame), self.design.n,
-                                  [self.hit_by(row) for row in self.rows], values,
+        second = _srswor_pair_sum(self.design, [self.hit_by(row) for row in self.rows], values,
                                   fully_selected=self.fully_selected)
         return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
 
@@ -401,42 +398,9 @@ class MomentSummary:
         return self.expectation - self.target
 
 
-def _srswor_pair_ratio(N: int, n: int,
-                       fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
-    """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR of n units from N,
-    for rows k, l hit through unit sets of sizes a and b with a union of u.
-
-    A row is hit when the sample meets its set or, with ``fully_selected``,
-    contains all of it; each ratio is priced once from sample counts.
-    """
-    samples = math.comb(N, n)
-    if fully_selected:
-        def first(m: int) -> int:
-            return math.comb(N - m, n - m) if m <= n else 0
-
-        def both(a: int, b: int, u: int) -> int:
-            return first(u)
-    else:
-        def first(m: int) -> int:
-            return samples - math.comb(N - m, n)
-
-        def both(a: int, b: int, u: int) -> int:
-            return first(a) + first(b) - first(u)
-
-    priced: dict[tuple[int, int, int], Fraction] = {}
-
-    def ratio(a: int, b: int, u: int) -> Fraction:
-        got = priced.get((a, b, u))
-        if got is None:
-            got = priced[a, b, u] = Fraction(samples * both(a, b, u), first(a) * first(b))
-        return got
-
-    return ratio
-
-
-def _srswor_pair_sum(N: int, n: int, sets: list, values: list[Fraction],
+def _srswor_pair_sum(design: Design, sets: list, values: list[Fraction],
                      fully_selected: bool = False) -> Fraction:
-    """Σ_k Σ_l y_k y_l π_(kl) / (π_(k) π_(l)) under SRSWOR of n units from N.
+    """Σ_k Σ_l y_k y_l π_(kl) / (π_(k) π_(l)) under an SRSWOR design.
 
     Row k enters when the sample meets the unit set A_k or, with
     ``fully_selected``, when it contains all of A_k. Either way π_(k) and
@@ -485,7 +449,7 @@ def _srswor_pair_sum(N: int, n: int, sets: list, values: list[Fraction],
                 groups[a, b, a + b] += (total_a * total_b * (1 if a == b else 2)
                                         - met.get((a, b), 0))
 
-    ratio = _srswor_pair_ratio(N, n, fully_selected)
+    ratio = design.size_ratio(fully_selected)
     total = sum((g * ratio(a, b, u) for (a, b, u), g in groups.items() if g), Fraction(0))
     return total / (scale * scale)
 
@@ -599,27 +563,11 @@ class DeltaMatrix:
 
 
 def _motif_pair_ratio(design: Design, big: Big) -> Callable[[str, str], Fraction]:
-    """(k, l) -> π_(kl) / (π_(k) π_(l)), refusing pairs never observed together.
-
-    Under SRSWOR the ratio depends only on |β_k|, |β_l| and |β_k ∪ β_l|, so
-    it is priced once per size triple; otherwise each π_(k) is computed
-    once per motif.
-    """
-    if design.kind == SRSWOR:
-        sized = _srswor_pair_ratio(len(design.frame), design.n)
-
-        def ratio(k: str, l: str) -> Fraction:
-            beta_k, beta_l = big.ancestors(k), big.ancestors(l)
-            a, b = len(beta_k), len(beta_l)
-            return sized(a, b, a + b - len(beta_k & beta_l))
-    else:
-        pi = {key: first_order_inclusion(design, big, key) for key in big.motifs.keys()}
-
-        def ratio(k: str, l: str) -> Fraction:
-            return second_order_inclusion(design, big, k, l) / (pi[k] * pi[l])
+    """(k, l) -> π_(kl) / (π_(k) π_(l)), refusing pairs never observed together."""
+    ratio = design.pair_ratio()
 
     def checked(k: str, l: str) -> Fraction:
-        got = ratio(k, l)
+        got = ratio(big.ancestors(k), big.ancestors(l))
         if got == 0:
             raise DesignError(
                 f"motifs {k!r} and {l!r} have zero joint inclusion probability")
@@ -654,10 +602,9 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
     resolved = resolve_weights(big, weights)
     motif_ratio = _motif_pair_ratio(design, big)
     if design.kind == SRSWOR:
-        N = len(design.frame)
-        unit_ratio = _srswor_pair_ratio(N, design.n)
+        unit_ratio = design.size_ratio()
         same = unit_ratio(1, 1, 1)
-        apart = unit_ratio(1, 1, 2) if N > 1 else Fraction(0)
+        apart = unit_ratio(1, 1, 2) if len(design.frame) > 1 else Fraction(0)
 
         def unit_sum(k: str, l: str) -> Fraction:
             # Every row of ω sums to one, so the off-diagonal part is `apart`.
@@ -668,22 +615,14 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
                           Fraction(0))
             return apart + (same - apart) * overlap
     else:
-        pi_unit = {u: design.unit_inclusion(u) for u in big.frame}
-        ratio: dict[tuple[str, str], Fraction] = {}
-
-        def pair_ratio(i: str, j: str) -> Fraction:
-            got = ratio.get((i, j))
-            if got is None:
-                got = design.pair_inclusion(i, j) / (pi_unit[i] * pi_unit[j])
-                ratio[(i, j)] = got
-                ratio[(j, i)] = got
-            return got
+        pair_ratio = design.pair_ratio()
+        unit = {u: frozenset((u,)) for u in big.frame}
 
         def unit_sum(k: str, l: str) -> Fraction:
             total = Fraction(0)
             for i, w_ik in resolved[k].items():
                 for j, w_jl in resolved[l].items():
-                    total += pair_ratio(i, j) * w_ik * w_jl
+                    total += pair_ratio(unit[i], unit[j]) * w_ik * w_jl
             return total
 
     entries: dict[tuple[str, str], Fraction] = {}
@@ -730,26 +669,13 @@ def variance_difference(delta: DeltaMatrix, motifs: MotifSet) -> Fraction:
     return delta.quadratic_form({key: motifs.y(key) for key in delta.keys})
 
 
-def induced_inclusion(design: Design, members: Iterable[str]) -> Fraction:
-    """Probability that every member is selected in the initial sample.
-
-    This is the inclusion probability of a motif under the observation
-    procedure that records only edges among initially selected nodes."""
-    members = design._within_frame(members)
-    if design.kind == SRSWOR:
-        # C(N-m, n-m) / C(N, n) = n!/(n-m)! / (N!/(N-m)!), which perm makes 0 for m > n.
-        m = len(members)
-        return Fraction(math.perm(design.n, m), math.perm(len(design.frame), m))
-    return sum((p for point, p in design.points if members <= point), Fraction(0))
-
-
 def _induced_plan(motifs: MotifSet, design: Design, scale: str) -> _Plan:
     """HT on the Big whose β_k are the member sets, a motif entering only
     when the sample contains all of its members."""
     for m in motifs:
         if not m.members:
             raise DesignError(f"motif {m.key!r} has no member set")
-        if induced_inclusion(design, m.members) == 0:
+        if design.inclusion(m.members, fully_selected=True) == 0:
             raise DesignError(
                 f"motif {m.key!r} can never be fully selected under this design")
     members = Big(design.frame, motifs, {m.key: m.members for m in motifs},

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import design
+from .design import to_fraction
 from .errors import EnumerationCapError
 from .graph import Graph, INFINITE, connected_components
 
@@ -31,9 +32,6 @@ _PATTERNS: dict[str, tuple[int, tuple[int, ...]]] = {
     "s3": (4, (1, 1, 1, 3)),
     "p3": (4, (1, 1, 2, 2)),
 }
-
-CLASS_NAMES = tuple(_PATTERNS) + ("component:<max_order>",)
-
 
 @dataclass(frozen=True)
 class MotifClass:
@@ -67,11 +65,6 @@ class MotifClass:
         return self.name == "component"
 
     @property
-    def order(self) -> int | None:
-        """Number of member nodes; None for the component class."""
-        return None if self.is_component else _PATTERNS[self.name][0]
-
-    @property
     def label(self) -> str:
         return f"component:{self.max_order}" if self.is_component else self.name
 
@@ -86,19 +79,6 @@ class Motif:
     key: str
     members: frozenset[str] | None = None
     motif_class: MotifClass | None = None
-
-    @property
-    def order(self) -> int:
-        if self.members is None:
-            raise ValueError(f"motif {self.key!r} has no member set")
-        return len(self.members)
-
-
-def to_fraction(value) -> Fraction:
-    """Exact value of a number or numeric string; floats by their shortest repr."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 class MotifSet:

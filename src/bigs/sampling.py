@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .design import to_fraction
 from .graph import Graph
-from .motifs import to_fraction
 
 INCIDENT = "incident"
 INDUCED = "induced"

@@ -16,10 +16,10 @@ from oracles import random_incidence, srswor_samples
 def test_srswor_basic_probabilities():
     d = Design.srswor("abcde", 2)
     assert d.size == 10
-    assert d.unit_inclusion("a") == Fraction(2, 5)
-    assert d.pair_inclusion("a", "b") == Fraction(1, 10)
-    assert d.exclusion(["a", "b", "c"]) == Fraction(1, 10)
-    assert d.exclusion([]) == 1
+    assert d.inclusion(["a"]) == Fraction(2, 5)
+    assert d.inclusion(["a", "b"], fully_selected=True) == Fraction(1, 10)
+    assert 1 - d.inclusion(["a", "b", "c"]) == Fraction(1, 10)
+    assert d.inclusion([]) == 0
 
 
 def test_srswor_validation():
@@ -39,11 +39,14 @@ def test_enumerated_design_probabilities():
               (frozenset("c"), Fraction(1, 2))]
     d = Design.enumerated("abc", points)
     assert d.size == 3
-    assert d.unit_inclusion("b") == Fraction(1, 2)
-    assert d.unit_inclusion("c") == Fraction(3, 4)
-    assert d.pair_inclusion("a", "b") == Fraction(1, 4)
-    assert d.pair_inclusion("a", "c") == 0
-    assert d.exclusion(["a", "b"]) == Fraction(1, 2)
+    assert d.inclusion(["b"]) == Fraction(1, 2)
+    assert d.inclusion(["c"]) == Fraction(3, 4)
+    assert d.inclusion(["a", "b"], fully_selected=True) == Fraction(1, 4)
+    assert d.inclusion(["a", "c"], fully_selected=True) == 0
+    assert 1 - d.inclusion(["a", "b"]) == Fraction(1, 2)
+    # Float probabilities are read by their shortest repr, so 0.1 + 0.9 sums to 1.
+    floats = Design.enumerated(["a", "b"], [({"a"}, 0.1), ({"b"}, 0.9)])
+    assert floats.inclusion(["a"]) == Fraction(1, 10)
 
 
 def test_enumerated_design_validation():
@@ -156,8 +159,8 @@ def test_inclusion_probabilities_match_enumeration_counts():
 
 def test_exclusion_probability_helper():
     d = Design.srswor("abcde", 2)
-    assert d.exclusion(["a"]) == Fraction(6, 10)
-    assert d.exclusion("abcde") == 0
+    assert 1 - d.inclusion(["a"]) == Fraction(6, 10)
+    assert 1 - d.inclusion("abcde") == 0
 
 
 def test_realize_sample_big_on_the_five_grid_population():
@@ -195,7 +198,7 @@ def test_parse_design_file():
         "3/4: b",
     ]), frame=["a", "b"])
     assert d.kind == "enumerated"
-    assert d.unit_inclusion("a") == Fraction(1, 4)
+    assert d.inclusion(["a"]) == Fraction(1, 4)
 
     with pytest.raises(ParseError, match="line 1"):
         parse_design_file("1/4 a b\n", frame=["a", "b"])

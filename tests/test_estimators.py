@@ -11,7 +11,7 @@ from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   EstimatorSpec, Graph, Motif, MotifSet, SampleBig, WeightError,
                   WeightScheme, acs_big, delta_matrix, enumerate_moments, estimate,
                   exact_moments, hh_estimate, ht_estimate, induced_ht_evaluator,
-                  induced_ht_moments, induced_inclusion,
+                  induced_ht_moments,
                   monte_carlo_moments, rao_blackwellize, realize_sample_big,
                   resolve_weights, srswor_equal_share_delta,
                   thompson1990, variance_difference)
@@ -179,7 +179,7 @@ def test_modified_ht_skips_unselected_edge_grids():
 
     direct = estimate(MODIFIED, pop.design, big, realize_sample_big(big, ["2", "1"]))
     pi_direct = dict((k, p) for k, p, _ in direct.contributions)["2"]
-    assert pi_direct == 1 - pop.design.exclusion(["2"])
+    assert pi_direct == pop.design.inclusion(["2"])
 
 
 def test_rao_blackwellize_averages_over_matching_samples():
@@ -298,11 +298,14 @@ def test_variance_difference_identity_on_random_incidence_graphs():
         n = rng.randint(2, len(frame))
         big = _make_big(frame, beta, y)
         d = Design.srswor(frame, n)
+        samples = list(srswor_samples(frame, n))
+        listed = Design.enumerated(frame, [(s, Fraction(1, len(samples))) for s in samples])
         for scheme in (WeightScheme.equal_share(), WeightScheme.inverse_alpha()):
             delta = delta_matrix(big, d, scheme)
             hh = exact_moments(d, big, EstimatorSpec("hh", weights=scheme))
             ht = exact_moments(d, big, EstimatorSpec.parse("ht"))
             assert hh.variance - ht.variance == variance_difference(delta, big.motifs)
+            assert delta_matrix(big, listed, scheme).entries == delta.entries
         closed = srswor_equal_share_delta(big, d)
         general = delta_matrix(big, d, WeightScheme.equal_share())
         for k in closed.keys:
@@ -374,16 +377,21 @@ def test_induced_inclusion_matches_counting():
     for _ in range(15):
         frame = [f"u{i}" for i in range(rng.randint(2, 7))]
         n = rng.randint(1, len(frame))
-        d = Design.srswor(frame, n)
-        members = frozenset(rng.sample(frame, rng.randint(1, len(frame))))
         samples = list(srswor_samples(frame, n))
-        want = Fraction(sum(1 for s in samples if members <= s), len(samples))
-        assert induced_inclusion(d, members) == want
+        # The same distribution, once in closed form and once as a listed design.
+        srs = Design.srswor(frame, n)
+        listed = Design.enumerated(frame, [(s, Fraction(1, len(samples))) for s in samples])
+        members = frozenset(rng.sample(frame, rng.randint(1, len(frame))))
+        contains = Fraction(sum(1 for s in samples if members <= s), len(samples))
+        meets = Fraction(sum(1 for s in samples if members & s), len(samples))
+        for d in (srs, listed):
+            assert d.inclusion(members, fully_selected=True) == contains
+            assert d.inclusion(members) == meets
 
     pts = [(frozenset("ab"), Fraction(1, 2)), (frozenset("bc"), Fraction(1, 2))]
     e = Design.enumerated("abc", pts)
-    assert induced_inclusion(e, frozenset("ab")) == Fraction(1, 2)
-    assert induced_inclusion(e, frozenset("ac")) == 0
+    assert e.inclusion(frozenset("ab"), fully_selected=True) == Fraction(1, 2)
+    assert e.inclusion(frozenset("ac"), fully_selected=True) == 0
 
 
 def test_induced_ht_evaluator_and_moments():
@@ -431,10 +439,14 @@ def test_inclusion_probabilities_refuse_units_outside_the_frame():
     outside = MotifSet([Motif("d", frozenset("xy"))])
     for d in (srs, listed):
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
-            d.pair_inclusion("a", "x")
+            d.inclusion(["x"])
+        with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
+            d.inclusion(["a", "x"], fully_selected=True)
+        with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
+            d.pair_ratio()(frozenset("a"), frozenset("x"))
         # Under SRSWOR this was once priced as C(3-2, 0) / C(3, 2) = 1/3.
         with pytest.raises(ValueError, match=r"units outside frame: \['x', 'y'\]"):
-            induced_inclusion(d, frozenset("xy"))
+            d.inclusion(frozenset("xy"), fully_selected=True)
         with pytest.raises(ValueError, match="outside frame"):
             induced_ht_moments(outside, d)
 
