@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .errors import (BigsError, DesignError, EnumerationCapError,
                      InfeasibleError, ParseError, WeightError)
-from .graph import (Graph, INFINITE, connected_components, geodesics,
-                    hypernode_transform, load_edge_list)
+from .graph import Graph, INFINITE, connected_components, geodesics, load_edge_list
 from .motifs import (Motif, MotifClass, MotifSet, ancestor_neighborhood,
                      enumerate_motifs, motif_diameter, observation_diameter,
                      observation_distance)
@@ -42,8 +41,7 @@ __all__ = [
     "__version__",
     "BigsError", "DesignError", "EnumerationCapError", "InfeasibleError",
     "ParseError", "WeightError",
-    "Graph", "INFINITE", "connected_components", "geodesics",
-    "hypernode_transform", "load_edge_list",
+    "Graph", "INFINITE", "connected_components", "geodesics", "load_edge_list",
     "Motif", "MotifClass", "MotifSet", "ancestor_neighborhood",
     "enumerate_motifs", "motif_diameter", "observation_diameter",
     "observation_distance",

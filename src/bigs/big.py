@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .design import to_fraction
-from .errors import InfeasibleError, ParseError
+from .errors import InfeasibleError, ParseError, exact, records
 from .graph import Graph, INFINITE, connected_components
 from .motifs import Motif, MotifSet, _member_distances, _member_indices, _observation_stage
 from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
@@ -304,42 +304,25 @@ def load_big(source) -> Big:
     fractions like 3/7, and decimals. A motif with no incident edges is
     refused: it could never be observed.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     section = None
     frame: list[str] = []
     motif_rows: list[tuple[str, Fraction, frozenset[str] | None]] = []
     edges: list[tuple[str, str]] = []
     seen_edges: set[tuple[str, str]] = set()
     order = {"FRAME": 0, "MOTIFS": 1, "EDGES": 2}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        upper = line.upper()
-        if upper in order:
+    for lineno, parts in records(source):
+        if len(parts) == 1 and (upper := parts[0].upper()) in order:
             if section is not None and order[upper] <= order[section]:
                 raise ParseError(f"section {upper} out of order", line=lineno)
             section = upper
-            continue
-        if section == "FRAME":
-            for tok in line.split():
-                frame.append(tok)
+        elif section == "FRAME":
+            frame.extend(parts)
         elif section == "MOTIFS":
-            parts = line.split()
             if len(parts) < 2:
                 raise ParseError("motif row needs 'key y-value [members...]'", line=lineno)
-            key = parts[0]
-            try:
-                yval = Fraction(parts[1])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad y-value {parts[1]!r}", line=lineno) from None
             members = frozenset(parts[2:]) if len(parts) > 2 else None
-            motif_rows.append((key, yval, members))
+            motif_rows.append((parts[0], exact(parts[1], "y-value", lineno), members))
         elif section == "EDGES":
-            parts = line.split()
             if len(parts) != 2:
                 raise ParseError("edge row needs 'unit motif'", line=lineno)
             pair = (parts[0], parts[1])
@@ -387,27 +370,24 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
                       stages: int | None = None) -> FeasibilityReport:
     """Verify the conditions that make a Big usable for estimation.
 
-    Structural check: every motif has an ancestor. Design check: every
-    frame unit has positive selection probability. Empirical check (when
+    Structural check: every motif has an ancestor. ``Big`` guarantees it
+    by refusing an empty ancestor set, so it only counts one check per
+    motif. Design check: every frame unit belongs to the design's frame,
+    where ``Design`` already gives each unit positive selection
+    probability. Empirical check (when
     the population graph is supplied): simulating the paired observation
     procedure from each single ancestor must observe the motif and all of
     its fellow ancestors. ``stages`` overrides the Big's own stage horizon
     for the snowball simulation, which a Big loaded from file lacks.
     """
     violations: list[str] = []
-    checks = 0
-    for m in big.motifs:
-        checks += 1
-        if not big.ancestors(m.key):
-            violations.append(f"motif {m.key!r} has no ancestors")
+    checks = len(big.motifs)
     if design is not None:
         covered = frozenset(design.frame)
         for u in big.frame:
             checks += 1
             if u not in covered:
                 violations.append(f"unit {u!r} missing from the design frame")
-            elif design.inclusion((u,)) == 0:
-                violations.append(f"unit {u!r} has zero selection probability")
     if graph is not None:
         if big.rule.kind in _ACS_KINDS:
             if big.acs is None:
@@ -415,9 +395,9 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             else:
                 # One expansion per unit serves all of its motifs.
                 values = _acs_values(graph, {key: big.motifs.y(key) for key in big.motifs.keys()})
-                thr = to_fraction(big.acs.threshold)
                 for i in big.frame:
-                    obs = _acs_expand(graph, values, thr, _check_seeds(graph, [i]))
+                    obs = _acs_expand(graph, values, big.acs.threshold,
+                                      _check_seeds(graph, [i]))
                     for k in sorted(big.successors(i)):
                         checks += 1
                         if k not in obs.observed:

@@ -18,7 +18,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .builtins import (BUILTIN_NAMES, TABLE4_BIGS, THOMPSON1990,
                        Table1Reproduction, Table4Reproduction,
                        builtin_population, reproduce)
 from .design import Design, parse_design_file, realize_sample_big
-from .errors import BigsError
+from .errors import BigsError, ParseError, exact, records
 from .estimators import (INV_ALPHA, EstimatorSpec, WeightScheme, enumerate_moments,
                          estimate, monte_carlo_moments)
 from .graph import Graph, load_edge_list
@@ -132,8 +132,22 @@ def _wants_json(cfg: ExperimentConfig, default_json: bool = False) -> bool:
     return cfg.out.endswith(".json")
 
 
-def _csv(cfg: ExperimentConfig, header: list[str], rows: list[list[str]],
-         seed: int | None = None) -> str:
+def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[str]], body: dict,
+          seed: int | None = None, default_json: bool = False) -> None:
+    """Write a report to ``--out`` or stdout: ``body`` as JSON when the
+    output path ends in .json (with no path, when ``default_json``), else
+    ``header`` and ``rows`` as CSV.
+
+    Both carry the package version, the config and the seed when one is
+    used, the CSV as ``#`` comment lines.
+    """
+    if _wants_json(cfg, default_json):
+        report = {"version": __version__, "config": cfg.to_dict()}
+        if seed is not None:
+            report["seed"] = seed
+        report.update(body)
+        _write(cfg, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return
     lines = [f"# bigs {__version__}",
              "# config " + json.dumps(cfg.to_dict(), sort_keys=True,
                                       separators=(",", ":"))]
@@ -141,15 +155,7 @@ def _csv(cfg: ExperimentConfig, header: list[str], rows: list[list[str]],
         lines.append(f"# seed {seed}")
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_report(cfg: ExperimentConfig, body: dict, seed: int | None = None) -> str:
-    report = {"version": __version__, "config": cfg.to_dict()}
-    if seed is not None:
-        report["seed"] = seed
-    report.update(body)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _write(cfg, "\n".join(lines) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -160,10 +166,8 @@ def _read_text(path: str) -> str:
 
 
 def _looks_like_big_file(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.upper() == "FRAME"
+    for _, tokens in records(text):
+        return len(tokens) == 1 and tokens[0].upper() == "FRAME"
     return False
 
 
@@ -183,17 +187,13 @@ def _ancestor_rule(cfg: ExperimentConfig) -> AncestorRule:
 
 def _parse_y_values(path: str) -> dict[str, Fraction]:
     values: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path} line {lineno}: expected 'unit value'")
-        try:
-            values[parts[0]] = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{path} line {lineno}: bad value {parts[1]!r}") from None
+    try:
+        for lineno, parts in records(_read_text(path)):
+            if len(parts) != 2:
+                raise ParseError("expected 'unit value'", line=lineno)
+            values[parts[0]] = exact(parts[1], "value", lineno)
+    except ParseError as exc:
+        raise ValueError(f"{path} {exc}") from None
     if not values:
         raise ValueError(f"{path}: no y-values")
     return values
@@ -294,12 +294,14 @@ def _estimator_specs(cfg: ExperimentConfig, alpha_sizes: dict | None) -> list[Es
     return specs
 
 
-def _require_design(cfg: ExperimentConfig, resolved: _Resolved) -> Design:
+def _experiment(cfg: ExperimentConfig) -> tuple[_Resolved, Design, list[EstimatorSpec]]:
+    """The resolved input, the design and the estimator specs of a run."""
+    resolved = _resolve(cfg)
     design = _design_for(cfg, resolved.big.frame, resolved.fallback_design)
     if design is None:
         raise ValueError("no design given: pass --n SIZE for simple random "
                          "sampling or --design FILE for an enumerated design")
-    return design
+    return resolved, design, _estimator_specs(cfg, resolved.alpha_sizes)
 
 
 def _new_seed() -> int:
@@ -327,11 +329,7 @@ def _run_motifs(cfg: ExperimentConfig) -> int:
             for m in ms:
                 rows.append([cls.label, m.key, str(len(m.members)),
                              " ".join(sorted(m.members))])
-    if _wants_json(cfg):
-        body = {"results": [dict(zip(header, row)) for row in rows]}
-        _write(cfg, _json_report(cfg, body))
-    else:
-        _write(cfg, _csv(cfg, header, rows))
+    _emit(cfg, header, rows, {"results": [dict(zip(header, row)) for row in rows]})
     return 0
 
 
@@ -348,23 +346,16 @@ def _run_big(cfg: ExperimentConfig) -> int:
         body = {"feasible": report.feasible,
                 "violations": list(report.violations),
                 "checks": report.checks}
-        if _wants_json(cfg, default_json=True):
-            _write(cfg, _json_report(cfg, body))
-        else:
-            header = ["feasible", "checks", "violation"]
-            rows = [[str(report.feasible).lower(), str(report.checks), v]
-                    for v in report.violations] or \
-                   [[str(report.feasible).lower(), str(report.checks), ""]]
-            _write(cfg, _csv(cfg, header, rows))
+        rows = [[str(report.feasible).lower(), str(report.checks), v]
+                for v in report.violations or [""]]
+        _emit(cfg, ["feasible", "checks", "violation"], rows, body, default_json=True)
         return 0 if report.feasible else 1
     raise ValueError(f"unknown big action {action!r} (build, check or export)")
 
 
 def _run_sample(cfg: ExperimentConfig) -> int:
-    resolved = _resolve(cfg)
+    resolved, design, specs = _experiment(cfg)
     big = resolved.big
-    design = _require_design(cfg, resolved)
-    specs = _estimator_specs(cfg, resolved.alpha_sizes)
     seed = None
     if cfg.seeds:
         s0 = design.require_support(cfg.seeds)
@@ -373,73 +364,60 @@ def _run_sample(cfg: ExperimentConfig) -> int:
         s0 = design.draw(random.Random(seed))
     sample = realize_sample_big(big, s0)
     results = [(spec, estimate(spec, design, big, sample, cap=cfg.cap)) for spec in specs]
-    if _wants_json(cfg, default_json=True):
-        body = {
-            "big": resolved.big_label,
-            "initial_sample": sorted(s0),
-            "observed_motifs": list(sample.motifs),
-            "out_ancestors": sorted(sample.out_ancestors),
-            "results": [
-                {"estimator": spec.label, "scale": spec.scale,
-                 "estimate": float(report.estimate),
-                 "exact": str(report.estimate),
-                 "contributions": [
-                     {"id": ident, "probability": str(prob), "share": str(part)}
-                     for ident, prob, part in report.contributions]}
-                for spec, report in results],
-        }
-        _write(cfg, _json_report(cfg, body, seed=seed))
-    else:
-        header = ["estimator", "scale", "estimate"]
-        rows = [[spec.label, spec.scale, _fmt(report.estimate)]
-                for spec, report in results]
-        _write(cfg, _csv(cfg, header, rows, seed=seed))
+    body = {
+        "big": resolved.big_label,
+        "initial_sample": sorted(s0),
+        "observed_motifs": list(sample.motifs),
+        "out_ancestors": sorted(sample.out_ancestors),
+        "results": [
+            {"estimator": spec.label, "scale": spec.scale,
+             "estimate": float(report.estimate),
+             "exact": str(report.estimate),
+             "contributions": [
+                 {"id": ident, "probability": str(prob), "share": str(part)}
+                 for ident, prob, part in report.contributions]}
+            for spec, report in results],
+    }
+    rows = [[spec.label, spec.scale, _fmt(report.estimate)] for spec, report in results]
+    _emit(cfg, ["estimator", "scale", "estimate"], rows, body, seed=seed, default_json=True)
     return 0
 
 
 def _run_enumerate(cfg: ExperimentConfig) -> int:
-    resolved = _resolve(cfg)
-    big = resolved.big
-    design = _require_design(cfg, resolved)
-    specs = _estimator_specs(cfg, resolved.alpha_sizes)
+    resolved, design, specs = _experiment(cfg)
+    # Only the JSON report lists the per-sample estimates.
     samples = [] if _wants_json(cfg) else None
-    summaries = list(zip(specs, enumerate_moments(design, big, specs, cap=cfg.cap,
-                                                  samples=samples)))
+    summaries = list(zip(specs, enumerate_moments(design, resolved.big, specs,
+                                                  cap=cfg.cap, samples=samples)))
     header = ["estimator", "scale", "expectation", "variance", "mse", "support"]
     rows = [[spec.label, spec.scale, _fmt(mom.expectation), _fmt(mom.variance),
              _fmt(mom.mse), str(mom.support)] for spec, mom in summaries]
-    if samples is not None:
-        table = [{"sample": sorted(s0), "probability": str(p),
-                  "estimates": {spec.label: {"value": float(est), "exact": str(est)}
-                                for spec, est in zip(specs, estimates)}}
-                 for s0, p, estimates in samples]
-        body = {"big": resolved.big_label,
-                "results": [
-                    {"estimator": spec.label, "scale": spec.scale,
-                     "expectation": float(mom.expectation),
-                     "variance": float(mom.variance),
-                     "mse": float(mom.mse),
-                     "target": float(mom.target),
-                     "exact": {"expectation": str(mom.expectation),
-                               "variance": str(mom.variance),
-                               "mse": str(mom.mse),
-                               "target": str(mom.target)},
-                     "support": mom.support}
-                    for spec, mom in summaries],
-                "samples": table}
-        _write(cfg, _json_report(cfg, body))
-    else:
-        _write(cfg, _csv(cfg, header, rows))
+    body = {"big": resolved.big_label,
+            "results": [
+                {"estimator": spec.label, "scale": spec.scale,
+                 "expectation": float(mom.expectation),
+                 "variance": float(mom.variance),
+                 "mse": float(mom.mse),
+                 "target": float(mom.target),
+                 "exact": {"expectation": str(mom.expectation),
+                           "variance": str(mom.variance),
+                           "mse": str(mom.mse),
+                           "target": str(mom.target)},
+                 "support": mom.support}
+                for spec, mom in summaries],
+            "samples": [
+                {"sample": sorted(s0), "probability": str(p),
+                 "estimates": {spec.label: {"value": float(est), "exact": str(est)}
+                               for spec, est in zip(specs, estimates)}}
+                for s0, p, estimates in samples or ()]}
+    _emit(cfg, header, rows, body)
     return 0
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
-    resolved = _resolve(cfg)
-    big = resolved.big
-    design = _require_design(cfg, resolved)
-    specs = _estimator_specs(cfg, resolved.alpha_sizes)
+    resolved, design, specs = _experiment(cfg)
     seed = cfg.seed if cfg.seed is not None else _new_seed()
-    summaries = [(spec, monte_carlo_moments(design, big, spec, cfg.replicates,
+    summaries = [(spec, monte_carlo_moments(design, resolved.big, spec, cfg.replicates,
                                             seed, cap=cfg.cap)) for spec in specs]
     header = ["estimator", "scale", "replicates", "seed", "mean", "se_mean",
               "variance", "se_variance", "mse", "se_mse"]
@@ -447,63 +425,45 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
              _fmt(mc.mean), _fmt(mc.se_mean), _fmt(mc.variance),
              _fmt(mc.se_variance), _fmt(mc.mse), _fmt(mc.se_mse)]
             for spec, mc in summaries]
-    if _wants_json(cfg):
-        body = {"big": resolved.big_label,
-                "results": [
-                    {"estimator": spec.label, "scale": spec.scale,
-                     "replicates": mc.replicates, "seed": mc.seed,
-                     "mean": mc.mean, "se_mean": mc.se_mean,
-                     "variance": mc.variance, "se_variance": mc.se_variance,
-                     "mse": mc.mse, "se_mse": mc.se_mse,
-                     "target": mc.target}
-                    for spec, mc in summaries]}
-        _write(cfg, _json_report(cfg, body, seed=seed))
-    else:
-        _write(cfg, _csv(cfg, header, rows, seed=seed))
+    body = {"big": resolved.big_label,
+            "results": [{"estimator": spec.label, **asdict(mc)} for spec, mc in summaries]}
+    _emit(cfg, header, rows, body, seed=seed)
     return 0
 
 
 def _emit_table1(cfg: ExperimentConfig, rep: Table1Reproduction) -> None:
-    labels = [col.label for col in rep.columns]
-    if _wants_json(cfg):
-        body = {"builtin": THOMPSON1990,
-                "samples": [
-                    {"sample": list(sample), "observed": list(observed),
-                     "estimates": {col.label: float(col.estimates[i])
-                                   for col in rep.columns}}
-                    for i, (sample, observed)
-                    in enumerate(zip(rep.samples, rep.observed))],
-                "expectation": {col.label: float(col.expectation)
-                                for col in rep.columns},
-                "variance": {col.label: float(col.variance)
-                             for col in rep.columns}}
-        _write(cfg, _json_report(cfg, body))
-        return
-    header = ["sample", "observed"] + labels
+    body = {"builtin": THOMPSON1990,
+            "samples": [
+                {"sample": list(sample), "observed": list(observed),
+                 "estimates": {col.label: float(col.estimates[i])
+                               for col in rep.columns}}
+                for i, (sample, observed)
+                in enumerate(zip(rep.samples, rep.observed))],
+            "expectation": {col.label: float(col.expectation)
+                            for col in rep.columns},
+            "variance": {col.label: float(col.variance)
+                         for col in rep.columns}}
+    header = ["sample", "observed"] + [col.label for col in rep.columns]
     rows = []
     for i, (sample, observed) in enumerate(zip(rep.samples, rep.observed)):
         rows.append([" ".join(sample), " ".join(observed)]
                     + [_fmt(col.estimates[i], 3) for col in rep.columns])
     rows.append(["expectation", ""] + [_fmt(col.expectation, 3) for col in rep.columns])
     rows.append(["variance", ""] + [_fmt(col.variance, 3) for col in rep.columns])
-    _write(cfg, _csv(cfg, header, rows))
+    _emit(cfg, header, rows, body)
 
 
 def _emit_table4(cfg: ExperimentConfig, rep: Table4Reproduction) -> None:
-    if _wants_json(cfg):
-        body = {"builtin": TABLE4_BIGS,
-                "initial_sample": list(rep.seeds),
-                "results": [
-                    {"big": big_label, "estimator": estimator,
-                     "estimate": float(rep.value(big_label, estimator)),
-                     "exact": str(rep.value(big_label, estimator))}
-                    for big_label, estimator in rep.labels]}
-        _write(cfg, _json_report(cfg, body))
-        return
-    header = ["big", "estimator", "estimate"]
+    body = {"builtin": TABLE4_BIGS,
+            "initial_sample": list(rep.seeds),
+            "results": [
+                {"big": big_label, "estimator": estimator,
+                 "estimate": float(rep.value(big_label, estimator)),
+                 "exact": str(rep.value(big_label, estimator))}
+                for big_label, estimator in rep.labels]}
     rows = [[big_label, estimator, _fmt(rep.value(big_label, estimator), 3)]
             for big_label, estimator in rep.labels]
-    _write(cfg, _csv(cfg, header, rows))
+    _emit(cfg, ["big", "estimator", "estimate"], rows, body)
 
 
 def _run_reproduce(cfg: ExperimentConfig) -> int:

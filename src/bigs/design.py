@@ -22,7 +22,7 @@ from functools import cache
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator
 
-from .errors import DesignError, EnumerationCapError, ParseError
+from .errors import DesignError, EnumerationCapError, ParseError, exact, records
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -269,22 +269,13 @@ def realize_sample_big(big, seeds: Iterable[str]) -> SampleBig:
 
 def parse_design_file(source, frame: Iterable[str]) -> Design:
     """Parse an enumerated design: one 'p: unit unit ...' line per point."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     points = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, tokens in records(source):
+        line = " ".join(tokens)
         if ":" not in line:
             raise ParseError("expected 'probability: unit unit ...'", line=lineno)
         head, tail = line.split(":", 1)
-        try:
-            p = Fraction(head.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad probability {head.strip()!r}", line=lineno) from None
+        p = exact(head.strip(), "probability", lineno)
         units = tail.split()
         if not units:
             raise ParseError("support point with no units", line=lineno)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the line reader of its
+text formats."""
+
+from fractions import Fraction
 
 
 class BigsError(Exception):
@@ -13,6 +16,29 @@ class ParseError(BigsError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def records(source):
+    """Yield (line number, tokens) for each content line of a text.
+
+    ``source`` is a string or an iterable of lines. Anything from ``#`` to
+    the end of a line is a comment, lines left blank are skipped, tokens
+    are separated by whitespace, and line numbers count every line from 1.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def exact(token: str, what: str, line: int) -> Fraction:
+    """The exact value of a numeric token (integer, fraction or decimal);
+    ParseError ``bad {what}`` at ``line`` otherwise."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {what} {token!r}", line=line) from None
 
 
 class InfeasibleError(BigsError):

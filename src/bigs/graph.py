@@ -8,10 +8,9 @@ in first-appearance order, which fixes every iteration order in the package.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, records
 
 # Distinguished unreachable sentinel. Comparisons against finite stage
 # counts work directly, never encode infinity as a large integer.
@@ -198,68 +197,17 @@ def connected_components(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(comps)
 
 
-@dataclass(frozen=True)
-class HypernodeGraph:
-    """A graph with a node subset collapsed into a single hypernode.
-
-    Edges inside the subset are removed, edges with one endpoint inside
-    become edges of the hypernode (at most one per outside node and
-    direction), and all other edges are kept.
-    """
-
-    base: Graph
-    members: frozenset[str]
-    label: str
-    graph: Graph
-
-
-def hypernode_transform(g: Graph, members: Iterable[str], label: str | None = None) -> HypernodeGraph:
-    members = frozenset(str(m) for m in members)
-    if not members:
-        raise ValueError("hypernode needs at least one member")
-    for m in members:
-        if m not in g:
-            raise ValueError(f"unknown node {m!r}")
-    if label is None:
-        label = "h"
-        while label in g and label not in members:
-            label += "+"
-    elif label in g and label not in members:
-        raise ValueError(f"hypernode label {label!r} collides with an existing node")
-    nodes = [label] + [lab for lab in g.labels if lab not in members]
-    edge_set: set[tuple[str, str]] = set()
-    for u, v in g.edges():
-        um, vm = u in members, v in members
-        if um and vm:
-            continue
-        a = label if um else u
-        b = label if vm else v
-        if not g.directed and a > b:
-            a, b = b, a
-        edge_set.add((a, b))
-    return HypernodeGraph(g, members, label, Graph(nodes, sorted(edge_set), g.directed))
-
-
 def load_edge_list(source, directed: bool = False) -> Graph:
     """Parse an edge-list text into a Graph.
 
-    Each non-blank line holds one or two whitespace-separated node ids;
-    a single id declares an isolated node. Anything from ``#`` to the end
-    of the line is a comment. Self-loops, duplicate edges and lines with
-    more than two ids raise ParseError with the 1-based line number.
+    Each line that ``records`` yields holds one or two node ids; a single
+    id declares an isolated node. Self-loops, duplicate edges and lines
+    with more than two ids raise ParseError with the line number.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(source):
         if len(parts) == 1:
             nodes.append(parts[0])
         elif len(parts) == 2:

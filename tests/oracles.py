@@ -9,7 +9,7 @@ the production modules, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 
 INF = float("inf")
@@ -97,6 +97,29 @@ def simulate_snowball_observation(adj, node, members, limit):
             nxt |= adj[u]
         shell = nxt
     return INF
+
+
+HypernodeGraph = namedtuple("HypernodeGraph", "label nodes edges")
+
+
+def hypernode_transform(nodes, edges, members, label="h"):
+    """Collapse the member nodes of an undirected graph into one node.
+
+    Edges inside the member set are dropped, an edge with one member
+    endpoint becomes an edge of the hypernode, and parallel edges merge.
+    The label gets '+' appended until no other node has it.
+    """
+    members = set(members)
+    while label in nodes and label not in members:
+        label += "+"
+    collapsed = set()
+    for u, v in edges:
+        a = label if u in members else u
+        b = label if v in members else v
+        if a != b:
+            collapsed.add(tuple(sorted((a, b))))
+    return HypernodeGraph(label, [label] + [u for u in nodes if u not in members],
+                          sorted(collapsed))
 
 
 def first_appearance(nodes, edges):

@@ -417,6 +417,23 @@ def test_simulate_records_a_generated_seed(capsys):
     assert rows[0][3] == str(seed)
 
 
+def test_simulate_json_report_keys(tmp_path, capsys):
+    out_path = tmp_path / "mc.json"
+    code, out, _ = run_cli(capsys, "simulate", "thompson1990", "--rule", "acs-b-star",
+                           "--estimator", "ht", "--estimator", "hh",
+                           "--replicates", "20", "--seed", "5", "--out", str(out_path))
+    assert code == 0 and out == ""
+    data = json.loads(out_path.read_text())
+    assert set(data) == {"version", "config", "seed", "big", "results"}
+    assert data["seed"] == 5
+    assert [r["estimator"] for r in data["results"]] == ["ht", "hh:equal-share"]
+    for result in data["results"]:
+        assert set(result) == {"estimator", "scale", "replicates", "seed", "mean",
+                               "se_mean", "variance", "se_variance", "mse", "se_mse",
+                               "target"}
+        assert result["replicates"] == 20 and result["seed"] == 5
+
+
 def test_simulate_rejects_zero_replicates(capsys):
     code, _, err = run_cli(capsys, "simulate", "thompson1990",
                            "--rule", "acs-b-star", "--estimator", "ht",
@@ -454,6 +471,22 @@ def test_reproduce_five_grid_table(capsys):
     assert rows[11][3] == "17418.411"
     assert rows[11][4] == "17533.683"
     assert float(rows[11][5]) <= float(rows[11][2])
+
+
+def test_reproduce_five_grid_json_report_keys(tmp_path, capsys):
+    out_path = tmp_path / "table1.json"
+    code, _, _ = run_cli(capsys, "reproduce", "thompson1990", "--out", str(out_path))
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    assert set(data) == {"version", "config", "builtin", "samples", "expectation",
+                         "variance"}
+    columns = {"acs-b:modified-ht", "acs-b-star:ht", "acs-b-dagger:ht",
+               "acs-b:rb:modified-ht"}
+    assert set(data["expectation"]) == set(data["variance"]) == columns
+    assert len(data["samples"]) == 10
+    for row in data["samples"]:
+        assert set(row) == {"sample", "observed", "estimates"}
+        assert set(row["estimates"]) == columns
 
 
 def test_reproduce_forty_unit_estimates(tmp_path, capsys):
@@ -547,3 +580,28 @@ def test_adaptive_rule_from_files(tmp_path, capsys):
                            "--rule", "acs-b", "--threshold", "5")
     assert code == 2
     assert "--y-values" in err
+
+
+def test_y_values_file_reader(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, "1 2\n2 3\n", name="strip.txt")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 10\n2 1\n3 7\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# unit value\n1 10\n\n2 1  # below threshold\n3 7/1\n")
+    argv = ("big", "build", graph_path, "--rule", "acs-b", "--threshold", "5")
+    code, want, _ = run_cli(capsys, *argv, "--y-values", str(plain))
+    assert code == 0
+    code, got, _ = run_cli(capsys, *argv, "--y-values", str(commented))
+    assert code == 0 and got == want
+
+    bad_value = tmp_path / "bad-value.txt"
+    bad_value.write_text("1 10\n# comment\n2 x\n")
+    code, out, err = run_cli(capsys, *argv, "--y-values", str(bad_value))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad_value} line 3: bad value 'x'\n"
+
+    bad_row = tmp_path / "bad-row.txt"
+    bad_row.write_text("1 10\n2 1 3\n")
+    code, out, err = run_cli(capsys, *argv, "--y-values", str(bad_row))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad_row} line 2: expected 'unit value'\n"

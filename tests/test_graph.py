@@ -1,11 +1,10 @@
-"""Population graph container, geodesics, components, hypernode collapse."""
+"""Population graph container, geodesics, components."""
 
 import random
 
 import pytest
 
-from bigs import (Graph, ParseError, connected_components, geodesics,
-                  hypernode_transform, load_edge_list)
+from bigs import Graph, ParseError, connected_components, geodesics, load_edge_list
 
 from oracles import all_pairs_shortest, bfs_distances, build_adjacency, random_graph
 
@@ -79,33 +78,6 @@ def test_connected_components_against_bfs():
         for comp in comps:
             rep = min(comp)
             assert frozenset(bfs_distances(adj, rep)) == comp
-
-
-def test_hypernode_merges_parallel_edges():
-    g = Graph(edges=[("1", "3"), ("2", "3")])
-    hg = hypernode_transform(g, ["1", "2"])
-    assert hg.label == "h"
-    assert hg.graph.n_nodes == 2
-    assert list(hg.graph.edges()) == [("h", "3")]
-
-
-def test_hypernode_of_whole_component_is_isolated():
-    g = Graph(edges=[("1", "2"), ("2", "3")], nodes=["9"])
-    hg = hypernode_transform(g, ["1", "2", "3"])
-    assert hg.graph.n_nodes == 2
-    assert hg.graph.n_edges == 0
-
-
-def test_hypernode_label_rules():
-    g = Graph(edges=[("1", "2"), ("2", "h")])
-    hg = hypernode_transform(g, ["1", "2"])
-    assert hg.label == "h+"
-    with pytest.raises(ValueError, match="collides"):
-        hypernode_transform(g, ["1", "2"], label="h")
-    with pytest.raises(ValueError, match="unknown node"):
-        hypernode_transform(g, ["1", "99"])
-    with pytest.raises(ValueError, match="at least one"):
-        hypernode_transform(g, [])
 
 
 def test_load_edge_list_comments_and_isolated_nodes():

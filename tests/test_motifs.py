@@ -9,9 +9,9 @@ from bigs import (AncestorRule, Graph, INFINITE, InfeasibleError, Motif, MotifCl
                   MotifSet, ancestor_neighborhood, enumerate_motifs, motif_diameter,
                   observation_diameter, observation_distance, snowball_big)
 
-from oracles import (PATTERNS, all_pairs_shortest, build_adjacency,
-                     count_induced_occurrences, observation_stage_oracle, random_graph,
-                     random_orientation)
+from oracles import (PATTERNS, all_pairs_shortest, bfs_distances, build_adjacency,
+                     count_induced_occurrences, hypernode_transform,
+                     observation_stage_oracle, random_graph, random_orientation)
 
 # Isolated embeddings of each fixed pattern class, with the expected motif
 # diameter (largest member geodesic) and observation diameter (stages until
@@ -158,7 +158,7 @@ def test_external_node_distances_on_a_path():
     assert observation_distance(motif, "5", g) == 4
 
 
-def _check_member_helpers(g, motif, nodes, adj, dist):
+def _check_member_helpers(g, motif, nodes, edges, adj, dist):
     """The three member-set helpers and the snowball BIG stage counts
     against the oracles on the undirected edges."""
     members = sorted(motif.members)
@@ -172,10 +172,14 @@ def _check_member_helpers(g, motif, nodes, adj, dist):
             snowball_big(g, single, AncestorRule.motif_only())
     else:
         assert snowball_big(g, single, AncestorRule.motif_only()).stages_required == phi
+    # Distance to the collapsed motif is distance to its member set.
+    hg = hypernode_transform(nodes, edges, members)
+    to_motif = bfs_distances(build_adjacency(hg.nodes, hg.edges), hg.label)
     for t in (1, 2):
         near = ancestor_neighborhood(motif, g, t)
         assert near == {u for u in nodes if u not in motif.members
                         and min(dist[(u, a)] for a in members) <= t}
+        assert near == {u for u, d in to_motif.items() if u != hg.label and d <= t}
         if lam == INFINITE:
             with pytest.raises(InfeasibleError):
                 snowball_big(g, single, AncestorRule.motif_plus(t))
@@ -211,7 +215,7 @@ def test_observation_distance_matches_stage_oracle_on_random_graphs():
                     got = observation_distance(motif, node, g)
                     assert got == want, (sorted(edges), node, sorted(motif.members))
                     checked += 1
-                _check_member_helpers(g, motif, nodes, adj, dist)
+                _check_member_helpers(g, motif, nodes, edges, adj, dist)
     assert checked > 500
 
 
