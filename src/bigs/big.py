@@ -9,14 +9,18 @@ members plus a geodesic neighborhood) and adaptive cluster sampling
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Mapping
 
 from .design import to_fraction
 from .errors import InfeasibleError, ParseError, exact, records
 from .graph import Graph, INFINITE, connected_components
-from .motifs import Motif, MotifSet, _member_distances, _member_indices, _observation_stage
+from .motifs import (Motif, MotifSet, _member_distances, _member_indices,
+                     _observation_diameter)
 from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
 
 FULL = "full"
@@ -174,56 +178,114 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
     full:T uses every unit that observes the motif within T stages;
     motif-only uses the members, needing the largest observation diameter;
     motif-plus:t adds the geodesic-t neighborhood, needing the largest
-    motif diameter plus 2t stages. Distances ignore edge direction, and
-    every search stays inside a ball around the motif's members.
+    motif diameter plus 2t stages. Distances ignore edge direction.
+
+    Each member node is searched once, or at most twice, and its ball is
+    shared by every motif it belongs to. The ball reaches the rule's radius
+    r (T-1 for full:T, t for motif-plus:t, 0 for motif-only). Past r it
+    stops at the level that reaches the last member of the node's larger
+    motifs, and at their |M|-1 at the latest: members that induce a
+    connected subgraph lie within |M|-1 of each other. A node whose
+    co-members all lie closer than r is searched again to depth r. A motif
+    with a member outside these balls falls back to searches that stop
+    once its members are reached.
     """
     if rule.kind not in _SNOWBALL_KINDS:
         raise ValueError(f"rule {rule.label!r} is not a snowball rule")
-    checked = []
+    radius = rule.t or 0
+    if rule.kind == FULL:
+        radius = max(radius - 1, 0)
+    # Index the motifs up to the first with members outside the graph,
+    # whose ValueError is raised once the motifs before it are checked.
+    indexed, unindexed = [], None
+    reach: dict[int, int] = {}  # node -> largest |M|-1 over its motifs with |M|-1 > radius
+    mates: dict[int, set[int]] = {}  # node -> the members of those motifs
     for m in motifs:
-        members = _member_indices(m, g)
-        between = _member_distances(g, members)
-        diameter = max(_observation_stage(a, between[a]) for a in members)
-        if diameter == INFINITE:
-            raise InfeasibleError(
-                f"motif {m.key!r} has mutually unreachable member nodes; "
-                "no snowball sample can observe it from within")
-        checked.append((m, members, between, diameter))
+        try:
+            members = _member_indices(m, g)
+        except ValueError:
+            unindexed = m
+            break
+        indexed.append((m, members))
+        need = len(members) - 1
+        if need > radius:
+            for a in members:
+                if a in mates:
+                    mates[a].update(members)
+                    if reach[a] < need:
+                        reach[a] = need
+                else:
+                    mates[a] = set(members)
+                    reach[a] = need
 
+    memo: dict[int, dict[int, int]] = {}  # node -> its ball
+    near: dict[int, list[int]] = {}  # node -> the nodes of its ball within radius
+    checked = []
+    for m, members in indexed:
+        for a in members:
+            if a in memo:
+                continue
+            if a in mates:
+                memo[a] = ball = g._ball([a], reach[a], mates.pop(a))
+                if next(reversed(ball.values())) < radius:  # the mates lie closer
+                    memo[a] = ball = g._ball([a], radius)
+            else:
+                memo[a] = ball = g._ball([a], radius)
+            if rule.kind != MOTIF_ONLY:
+                near[a] = list(islice(ball, bisect_right(list(ball.values()), radius)))
+        try:
+            rows = [sorted(map(memo[a].__getitem__, members)) for a in members]
+        except KeyError:
+            between = _member_distances(g, members)
+            rows = [sorted(between[a].values()) for a in members]
+            if _observation_diameter(rows) == INFINITE:
+                raise InfeasibleError(
+                    f"motif {m.key!r} has mutually unreachable member nodes; "
+                    "no snowball sample can observe it from within") from None
+        # Keep only what the rule reads: the observation diameter for
+        # motif-only, the largest member distance for motif-plus.
+        if rule.kind == MOTIF_ONLY:
+            checked.append((m, members, _observation_diameter(rows)))
+        else:
+            checked.append((m, members, max(row[-1] for row in rows)))
+    if unindexed is not None:
+        _member_indices(unindexed, g)
+    memo.clear()  # the ancestors need only the nodes within radius
+
+    label = g.labels.__getitem__
     beta: dict[str, frozenset[str]] = {}
     if rule.kind == MOTIF_ONLY:
         stages = 0
-        for m, _, _, diameter in checked:
+        for m, _, diameter in checked:
             beta[m.key] = m.members
             stages = max(stages, diameter)
     elif rule.kind == MOTIF_PLUS:
         stages = 0
-        for m, members, between, _ in checked:
-            spread = max(d for row in between.values() for d in row.values())
+        for m, members, spread in checked:
             if spread == INFINITE:
                 raise InfeasibleError(
                     f"motif {m.key!r} has member nodes in different components; "
                     f"{rule.label} needs a finite motif diameter")
-            beta[m.key] = frozenset(g.labels[u] for u in g._ball(members, rule.t))
+            reached = chain.from_iterable(map(near.__getitem__, members))
+            beta[m.key] = frozenset(map(label, reached))
             stages = max(stages, spread + 2 * rule.t)
     else:
         if rule.t is None:
             raise ValueError("full rule needs an explicit stage horizon")
         stages = rule.t
-        # A unit observes the motif within T stages only if it lies
-        # within T-1 of a member, or is the member of a singleton. Each
-        # node's ball is searched once, however many motifs it belongs to.
-        memo: dict[int, dict[int, int]] = {}
-        for m, members, _, _ in checked:
-            balls = {}
-            for a in members:
-                if a not in memo:
-                    memo[a] = g._ball([a], max(stages - 1, 0))
-                balls[a] = memo[a]
-            anc = frozenset(
-                g.labels[u] for u in frozenset().union(*balls.values())
-                if _observation_stage(u, {a: ball.get(u, INFINITE)
-                                          for a, ball in balls.items()}) <= stages)
+        # A unit observes the motif within T >= 1 stages exactly when it
+        # lies within T-1 of all members but one, or of a singleton's
+        # member: for one or two members, the union of their balls cut at
+        # T-1. Under full:0 only a singleton's own member does.
+        for m, members, _ in checked:
+            reached = chain.from_iterable(map(near.__getitem__, members))
+            if stages == 0:
+                anc = m.members if len(members) == 1 else frozenset()
+            elif len(members) <= 2:
+                anc = frozenset(map(label, reached))
+            else:
+                need = len(members) - 1
+                anc = frozenset(map(label, [u for u, n in Counter(reached).items() if n >= need]))
             if not anc:
                 raise InfeasibleError(
                     f"no unit observes motif {m.key!r} within {stages} stages")

@@ -321,15 +321,13 @@ def _run_motifs(cfg: ExperimentConfig) -> int:
     pairs = _enumerate_classes(cfg, g)
     if cfg.count:
         header = ["class", "count"]
-        rows = [[cls.label, str(len(ms))] for cls, ms in pairs]
+        results = [[cls.label, len(ms)] for cls, ms in pairs]
     else:
         header = ["class", "motif", "order", "members"]
-        rows = []
-        for cls, ms in pairs:
-            for m in ms:
-                rows.append([cls.label, m.key, str(len(m.members)),
-                             " ".join(sorted(m.members))])
-    _emit(cfg, header, rows, {"results": [dict(zip(header, row)) for row in rows]})
+        results = [[cls.label, m.key, len(m.members), sorted(m.members)]
+                   for cls, ms in pairs for m in ms]
+    rows = [[" ".join(v) if isinstance(v, list) else str(v) for v in row] for row in results]
+    _emit(cfg, header, rows, {"results": [dict(zip(header, row)) for row in results]})
     return 0
 
 

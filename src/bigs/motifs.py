@@ -212,9 +212,10 @@ def _member_indices(motif: Motif, g: Graph) -> list[int]:
     """Node indices of the motif's members, which must lie in ``g``."""
     if not motif.members:
         raise ValueError(f"motif {motif.key!r} has no member set")
-    if not all(u in g for u in motif.members):
-        raise ValueError(f"motif {motif.key!r} has members outside the graph")
-    return [g.index_of(u) for u in motif.members]
+    try:
+        return [g._index[u] for u in motif.members]
+    except KeyError:
+        raise ValueError(f"motif {motif.key!r} has members outside the graph") from None
 
 
 def _member_distances(g: Graph, members: list[int]) -> dict[int, dict[int, int | float]]:
@@ -272,7 +273,14 @@ def _observation_stage(node, distance: Mapping):
 def observation_diameter(motif: Motif, g: Graph):
     """Largest internal observation distance over the motif's members."""
     between = _member_distances(g, _member_indices(motif, g))
-    return max(_observation_stage(a, row) for a, row in between.items())
+    return _observation_diameter([sorted(row.values()) for row in between.values()])
+
+
+def _observation_diameter(rows) -> int | float:
+    """The largest ``_observation_stage`` over a motif's members, from each
+    member's sorted distances to all of them: the second largest distance
+    plus one, or 0 for a singleton."""
+    return max(row[-2] for row in rows) + 1 if len(rows) > 1 else 0
 
 
 def ancestor_neighborhood(motif: Motif, g: Graph, t: int) -> frozenset[str]:

@@ -5,13 +5,16 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bigs import (AncestorRule, Big, Design, Graph, InfeasibleError, Motif,
+from bigs import (AncestorRule, Big, Design, Graph, INFINITE, InfeasibleError, Motif,
                   MotifClass, MotifSet, ParseError, acs_big, check_feasibility,
                   dump_big, enumerate_motifs, first_order_inclusion, load_big,
                   snowball_big, thompson1990)
 
-from oracles import oracle_acs_big, oracle_acs_feasibility, random_orientation
+from oracles import (oracle_acs_big, oracle_acs_feasibility, oracle_snowball_big,
+                     random_orientation)
+from test_traversal import RULES
 
 TRIANGLE_TAIL = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
 PATH4 = Graph(edges=[("u", "a"), ("a", "b"), ("b", "v")])
@@ -122,22 +125,140 @@ def test_full_big_includes_external_ancestors():
 
 
 def test_full_big_searches_each_member_ball_once(monkeypatch):
-    g = Graph(edges=[("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5")])
-    motifs = enumerate_motifs(g, MotifClass("k2"))
-    depths = []
+    calls = []
     search = Graph._ball
 
     def counted(self, sources, depth=None, targets=None):
-        if targets is None:
-            depths.append((tuple(sources), depth))
-        return search(self, sources, depth, targets)
+        ball = search(self, sources, depth, targets)
+        (source,) = sources
+        calls.append((self.labels[source], INFINITE if depth is None else depth,
+                      targets is not None, max(ball.values())))
+        return ball
 
     monkeypatch.setattr(Graph, "_ball", counted)
-    big = snowball_big(g, motifs, AncestorRule.full(2))
-    members = {u for m in motifs for u in m.members}
-    assert sorted(depths) == sorted(((g.index_of(u),), 1) for u in members)
-    monkeypatch.undo()
-    assert big == snowball_big(g, motifs, AncestorRule.full(2))
+
+    def searches(g, motifs, text):
+        calls.clear()
+        snowball_big(g, MotifSet(motifs), AncestorRule.parse(text))
+        return sorted(calls)
+
+    # A triangle with a tail and a far pair. Edges under full:2: one
+    # search per member node, to depth T-1.
+    g = Graph(edges=[("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5"), ("6", "7")])
+    k2 = list(enumerate_motifs(g, MotifClass("k2")))
+    assert searches(g, k2, "full:2") == [(u, 1, False, 1) for u in "1234567"]
+    # A singleton, an edge and a four-node path share node 3. Past the
+    # rule's radius a search stops at the farthest co-member, within |M|-1.
+    one, edge, path, star, split = (Motif(k, frozenset(k)) for k in ("3", "34", "1345", "1234", "16"))
+    path_searches = [("1", 3, True, 3), ("3", 3, True, 2), ("4", 3, True, 2), ("5", 3, True, 3)]
+    for text in ("motif-only", "full:3"):
+        assert searches(g, [one, edge, path], text) == path_searches, text
+    assert searches(g, [one, edge, path], "motif-plus:4") == [
+        ("1", 4, False, 3), ("3", 4, False, 2), ("4", 4, False, 2), ("5", 4, False, 3)]
+    # The star's centre reaches its leaves short of the radius 2 of full:3,
+    # so it is searched again to depth 2.
+    assert searches(g, [star], "full:3") == [
+        ("1", 3, True, 2), ("2", 3, True, 2), ("3", 2, False, 2), ("3", 3, True, 1), ("4", 3, True, 2)]
+    # A pair split across components lies outside its members' balls: it
+    # falls back to one search per member that stops once both are reached.
+    assert searches(g, [one, edge, path, split], "motif-only") == sorted(path_searches + [
+        ("6", 1, True, 1), ("1", INFINITE, True, 3), ("6", INFINITE, True, 1)])
+    # Edges beside a large component motif: an edge's searches stop at its
+    # partner, not at the component's |M|-1.
+    h = Graph(edges=[(f"c{i}", f"c{i + 1}") for i in range(7)]
+              + [(f"x{i}", f"x{i + 1}") for i in range(9)])
+    mixed = list(enumerate_motifs(h, MotifClass("k2"))) + list(
+        enumerate_motifs(h, MotifClass.parse("component:8")))
+    for text in ("motif-only", "motif-plus:1"):
+        found = searches(h, mixed, text)
+        assert [u for u, *_ in found] == sorted(h.labels), text
+        assert {(d, level) for u, d, _, level in found if u[0] == "x"} == {(1, 1)}, text
+        assert {(u, level) for u, d, _, level in found if u[0] == "c"} == {
+            (f"c{i}", max(i, 7 - i)) for i in range(8)}, text
+
+
+@st.composite
+def snowball_instances(draw):
+    """Up to eight declared labels in one to three blocks with edges inside
+    the blocks only, either half the pairs or a path with a quarter of the
+    chords, undirected or directed with some reciprocal arcs, and one to
+    five motifs of one to four members each. A motif is grown along
+    edges (its members are connected when the block allows) or drawn
+    freely, so member sets may straddle components."""
+    n = draw(st.integers(1, 8))
+    labels = [f"v{i}" for i in range(n)]
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))) if n > 1 else []
+    blocks = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    pairs = [(u, v) for block in blocks for i, u in enumerate(block) for v in block[i + 1:]]
+    keep, thin, flip, both = (draw(st.integers(0, 2 ** len(pairs) - 1)) for _ in range(4))
+    if draw(st.booleans()):
+        # A long thin block: its path in label order plus a quarter of the chords.
+        spine = sum(1 << i for i, (u, v) in enumerate(pairs) if int(v[1:]) == int(u[1:]) + 1)
+        keep = keep & thin | spine
+    directed = draw(st.booleans())
+    edges = []
+    for i, (u, v) in enumerate(pairs):
+        if keep >> i & 1:
+            edges.append((v, u) if flip >> i & 1 else (u, v))
+            if directed and both >> i & 1:
+                edges.append((u, v) if flip >> i & 1 else (v, u))
+    adj = {u: set() for u in labels}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, min(4, n)))
+        if draw(st.booleans()):
+            chosen = {draw(st.sampled_from(labels))}
+            while len(chosen) < size:
+                rim = sorted({v for u in chosen for v in adj[u]} - chosen)
+                if not rim:
+                    break
+                chosen.add(draw(st.sampled_from(rim)))
+        else:
+            chosen = set(draw(st.lists(st.sampled_from(labels), min_size=size,
+                                       max_size=size, unique=True)))
+        members.append(frozenset(chosen))
+    return labels, edges, directed, members
+
+
+# Pinned: a directed graph with two components holding a singleton, a
+# connected four-member path, a split pair and a trio with one member apart;
+# a path whose pair and trio have members farther apart than |M| - 1; and a
+# star whose centre reaches its leaves short of radius 2 but has units at
+# distance 2 that only its own ball finds.
+_MIXED = (["a", "b", "c", "d", "e", "f"],
+          [("a", "b"), ("c", "b"), ("c", "d"), ("d", "c"), ("e", "f")], True,
+          [frozenset("a"), frozenset("abcd"), frozenset("ae"), frozenset("bce")])
+_FAR = (["a", "b", "c", "d", "e", "f"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")], False,
+        [frozenset("ac"), frozenset("aef")])
+_HUB = (["c", "x", "y", "z", "v", "w", "u"],
+        [("c", "x"), ("c", "y"), ("c", "z"), ("c", "v"), ("v", "w"), ("x", "u"), ("y", "u")], False,
+        [frozenset("cxyz")])
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@example(_MIXED)
+@example(_FAR)
+@example(_HUB)
+@given(snowball_instances())
+def test_snowball_big_equals_all_pairs_oracle(instance):
+    nodes, edges, directed, members = instance
+    g = Graph(nodes, edges, directed)
+    by_key = {f"m{i}": m for i, m in enumerate(members)}
+    motifs = MotifSet([Motif(k, m) for k, m in by_key.items()])
+    for text in RULES:
+        rule = AncestorRule.parse(text)
+        want = oracle_snowball_big(nodes, edges, by_key, rule.kind, rule.t)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                snowball_big(g, motifs, rule)
+            continue
+        big = snowball_big(g, motifs, rule)
+        assert {k: big.ancestors(k) for k in by_key} == want[0], text
+        assert big.stages_required == want[1], text
 
 
 def test_full_rule_needs_a_horizon():

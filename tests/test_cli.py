@@ -93,6 +93,19 @@ def test_motifs_json_output_file(tmp_path, capsys):
     assert all(r["class"] == "k2" for r in data["results"])
 
 
+def test_motifs_json_writes_numbers_and_member_lists(tmp_path, capsys):
+    path = write_graph(tmp_path)
+    out_path = tmp_path / "counts.json"
+    assert run_cli(capsys, "motifs", path, "--motif", "k3", "--motif", "s2",
+                   "--count", "--out", str(out_path))[0] == 0
+    assert json.loads(out_path.read_text())["results"] == [
+        {"class": "k3", "count": 1}, {"class": "s2", "count": 2}]
+    out_path = tmp_path / "listing.json"
+    assert run_cli(capsys, "motifs", path, "--motif", "k3", "--out", str(out_path))[0] == 0
+    assert json.loads(out_path.read_text())["results"] == [
+        {"class": "k3", "motif": "k3-0", "order": 3, "members": ["1", "2", "3"]}]
+
+
 def test_motifs_without_class_is_an_error(tmp_path, capsys):
     path = write_graph(tmp_path)
     code, _, err = run_cli(capsys, "motifs", path)

@@ -12,17 +12,18 @@ from oracles import PATTERNS, oracle_pattern_motifs
 
 @st.composite
 def graphs(draw):
-    """Up to 14 shuffled labels in one to three blocks, with edges inside the
-    blocks only. Labels left without an edge survive only if listed as
-    nodes; directed graphs may hold both arcs of a pair."""
-    n = draw(st.integers(1, 14))
+    """Up to 10 shuffled labels in one to three blocks, with edges inside the
+    blocks only; which pairs become edges, and which way round, are the
+    bits of two drawn integers. Labels left without an edge survive only if
+    listed as nodes; directed graphs may hold both arcs of a pair."""
+    n = draw(st.integers(1, 10))
     labels = draw(st.permutations([f"v{i}" for i in range(n)]))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))) if n > 1 else []
     blocks = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
     pairs = [(u, v) for block in blocks for i, u in enumerate(block) for v in block[i + 1:]]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    flip = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [(v, u) if f else (u, v) for (u, v), k, f in zip(pairs, keep, flip) if k]
+    keep, flip = (draw(st.integers(0, 2 ** len(pairs) - 1)) for _ in range(2))
+    edges = [(v, u) if flip >> i & 1 else (u, v)
+             for i, (u, v) in enumerate(pairs) if keep >> i & 1]
     directed = draw(st.booleans())
     if directed and edges:
         edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), unique=True))]

@@ -40,20 +40,24 @@ def delta_or_refusal(big, design, scheme):
         return str(exc)
 
 
+# y-values drawn from a fixed list: negative, zero, integral and fractional.
+Y_VALUES = tuple(Fraction(v) for v in ("-5", "-3/2", "0", "1/4", "5/3", "2", "9"))
+
+
 @st.composite
 def instances(draw):
-    """A frame of one to six units, up to five motifs with random member
-    sets and y-values (negative, fractional), a sample size n in 1..N,
-    a scale, and a 1-3 by 2 ACS grid with y-values around the threshold."""
-    N = draw(st.integers(1, 6))
+    """A frame of one to five units, up to four motifs with random member
+    sets (bitmasks over the frame) and y-values, a sample size n in 1..N,
+    a scale, and a 1-2 by 2 ACS grid with y-values around the threshold."""
+    N = draw(st.integers(1, 5))
     frame = [f"u{i}" for i in range(N)]
-    members = draw(st.lists(st.sets(st.sampled_from(frame), min_size=1), min_size=1,
-                            max_size=5))
-    y = draw(st.lists(st.fractions(-5, 9, max_denominator=4), min_size=len(members),
+    masks = draw(st.lists(st.integers(1, 2 ** N - 1), min_size=1, max_size=4))
+    members = [{u for i, u in enumerate(frame) if mask >> i & 1} for mask in masks]
+    y = draw(st.lists(st.sampled_from(Y_VALUES), min_size=len(members),
                       max_size=len(members)))
     n = draw(st.integers(1, N))
     scale = draw(st.sampled_from(SCALES))
-    rows = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 2))
     grid_y = draw(st.lists(st.sampled_from((0, 1, 2, 7, 40)), min_size=2 * rows,
                            max_size=2 * rows))
     grid_n = draw(st.integers(1, 2 * rows))
