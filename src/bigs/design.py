@@ -40,8 +40,8 @@ def to_fraction(value) -> Fraction:
 class Design:
     """A fixed-size-or-listed initial sampling design over a unit frame."""
 
-    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_cumulative", "_samples",
-                 "_by_size")
+    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_common", "_weights",
+                 "_cumulative", "_samples", "_by_size")
 
     def __init__(self, kind, frame, n=None, points=None):
         frame = tuple(str(u) for u in frame)
@@ -63,8 +63,13 @@ class Design:
         elif kind == ENUMERATED:
             if not points:
                 raise DesignError("enumerated design has no support points")
-            total = sum(p for _, p in points)
-            if total != 1:
+            # Each probability as an integer weight over one common denominator.
+            self._common = lcm(*(p.denominator for _, p in points))
+            self._weights = tuple((s, p.numerator * (self._common // p.denominator))
+                                  for s, p in points)
+            total = sum(w for _, w in self._weights)
+            if total != self._common:
+                total = Fraction(total, self._common)
                 raise DesignError(f"support probabilities sum to {total}, not 1")
             hit = set()
             for s, p in points:
@@ -121,8 +126,10 @@ class Design:
                 got = self._by_size[size] = Fraction(self._hits(*size), self._samples)
             return got
         if fully_selected:
-            return sum((p for s, p in self.points if units <= s), Fraction(0))
-        return sum((p for s, p in self.points if s & units), Fraction(0))
+            hits = sum(w for s, w in self._weights if units <= s)
+        else:
+            hits = sum(w for s, w in self._weights if not units.isdisjoint(s))
+        return Fraction(hits, self._common)
 
     def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
         """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR, for rows k, l hit
@@ -188,32 +195,39 @@ class Design:
                 f"design support has {self.size} points, above the cap of {cap}; "
                 "use Monte Carlo simulation instead")
 
+    def _walk(self, cap: int | None = None) -> tuple[int, Iterable[tuple[frozenset[str], int]]]:
+        """(D, points): the whole support as (initial sample, integer weight w),
+        each sample drawn with probability w / D.
+
+        Under SRSWOR every weight is 1 over C(N, n); a listed design gives
+        its probabilities over their least common denominator. Refuses
+        supports larger than ``cap``, as ``check_cap`` does."""
+        self.check_cap(cap)
+        if self.kind == SRSWOR:
+            return self._samples, ((frozenset(combo), 1)
+                                   for combo in itertools.combinations(self.frame, self.n))
+        return self._common, self._weights
+
     def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
         """Yield (initial sample, probability) over the whole support.
 
         Refuses supports larger than ``cap``, as ``check_cap`` does."""
-        self.check_cap(cap)
-        if self.kind == SRSWOR:
-            p = Fraction(1, self.size)
-            for combo in itertools.combinations(self.frame, self.n):
-                yield frozenset(combo), p
-        else:
-            yield from self.points
+        common, points = self._walk(cap)
+        for sample, w in points:
+            yield sample, Fraction(w, common)
 
     def draw(self, rng: random.Random) -> frozenset[str]:
         """One initial sample; deterministic given the generator state.
 
         A listed design draws exactly: ``rng.randrange(D)`` over the common
         denominator D of its probabilities, located among the cumulative
-        integer numerators."""
+        integer weights."""
         if self.kind == SRSWOR:
             return frozenset(rng.sample(self.frame, self.n))
         if self._cumulative is None:
-            common = lcm(*(p.denominator for _, p in self.points))
-            self._cumulative = list(itertools.accumulate(
-                p.numerator * (common // p.denominator) for _, p in self.points))
-        r = rng.randrange(self._cumulative[-1])
-        return self.points[bisect_right(self._cumulative, r)][0]
+            self._cumulative = list(itertools.accumulate(w for _, w in self._weights))
+        r = rng.randrange(self._common)
+        return self._weights[bisect_right(self._cumulative, r)][0]
 
     def __repr__(self) -> str:
         if self.kind == SRSWOR:

@@ -1,18 +1,24 @@
 """Point estimators and moment evaluation for Big sampling.
 
-Covers the inclusion-probability (HT) estimator over observed motifs, the
-initial-sample (HH) estimator with weight schemes, the eligibility-modified
-HT estimator for adaptive cluster sampling, Rao-Blackwellization over the
-realized motif set, the variance-difference matrix between the two
-estimator families, and exact or Monte Carlo moments over a design.
+Covers the inclusion-probability (HT) estimator over observed motifs and
+its induced-observation variant, the initial-sample (HH) estimator with
+weight schemes, the eligibility-modified HT estimator for adaptive
+cluster sampling, Rao-Blackwellization over the realized motif set, the
+variance-difference matrix between the two estimator families, and exact
+or Monte Carlo moments over a design.
 
-All estimator arithmetic is exact rational; floats appear only in the
-Monte Carlo summaries.
+Each estimator is compiled once into a plan whose terms share one common
+denominator, and the design walks its support with integer weights over
+one denominator, so a support point or a draw adds integers. Results are
+exact Fractions, made once per moment or Rao-Blackwell group. Floats
+appear only in the Monte Carlo summaries, each replicate divided once
+from integers, which gives float() of its exact estimate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -246,7 +252,8 @@ class _Plan:
         self.spec = spec
         self.fully_selected = fully_selected
         self.div = _scale_divisor(big, spec.scale)
-        self._groups: dict[frozenset[str], list[Fraction]] | None = None
+        self._numerator: tuple[Callable[[Iterable[str]], int], int] | None = None
+        self._groups: tuple[int, int, dict[frozenset[str], list[int]]] | None = None
         if spec.kind == HH:
             weights = resolve_weights(big, spec.weights)
             self.rows = big.frame
@@ -286,50 +293,78 @@ class _Plan:
                 total += part
         return EstimatorReport(total, self.spec.scale, tuple(rows))
 
-    def _unconditioned(self) -> Callable[[Iterable[str]], Fraction]:
-        term = {row: self.value(row) / self.pi(row) / self.div for row in self.rows}
-        # Terms as integers over their common denominator: one Fraction per draw.
-        common = math.lcm(*(t.denominator for t in term.values()))
-        scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
-        if self.fully_selected:
-            return lambda seeds: Fraction(sum(scaled[row] for row in self._hits(seeds)), common)
-        index = {unit: tuple(self.select(unit)) for unit in self.big.frame}
+    def _scaled(self) -> tuple[Callable[[Iterable[str]], int], int]:
+        """(seeds -> integer numerator, common denominator) of the estimate.
 
-        def evaluate(seeds: Iterable[str]) -> Fraction:
-            hit = set()
-            for unit in seeds:
-                hit.update(index[unit])
-            return Fraction(sum(scaled[row] for row in hit), common)
+        The terms value / π / divisor are put over their common denominator
+        once, so a draw or a support point adds integers; a row whose value
+        is zero carries no term."""
+        if self._numerator is None:
+            term = {}
+            for row in self.rows:
+                value = self.value(row)
+                if value:
+                    term[row] = value / self.pi(row) / self.div
+            common = math.lcm(*(t.denominator for t in term.values()))
+            scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
+            if self.fully_selected:
+                def numerator(seeds: Iterable[str]) -> int:
+                    return sum(scaled.get(row, 0) for row in self._hits(seeds))
+            else:
+                index = {unit: tuple(row for row in self.select(unit) if row in scaled)
+                         for unit in self.big.frame}
 
-        return evaluate
+                def numerator(seeds: Iterable[str]) -> int:
+                    hit = set()
+                    for unit in seeds:
+                        hit.update(index[unit])
+                    return sum(scaled[row] for row in hit)
 
-    def _group_table(self, cap: int | None) -> dict[frozenset[str], list[Fraction]]:
-        """Observed motif set -> [Σp·x, Σp] over the design support, from one walk
-        made on first use."""
+            self._numerator = numerator, common
+        return self._numerator
+
+    def _group_table(self, cap: int | None) -> tuple[int, int, dict[frozenset[str], list[int]]]:
+        """(D, c, table): observed motif set -> [Σ w·x, Σ w] over the design
+        support, from one walk made on first use. A support point has
+        probability w / D and the unconditioned estimate x / c there."""
         if self._groups is None:
-            base = self._unconditioned()
-            self._groups = defaultdict(lambda: [Fraction(0), Fraction(0)])
-            for seeds, p in self.design.enumerate(cap):
-                group = self._groups[_observed(self.big, seeds)]
-                group[0] += p * base(seeds)
-                group[1] += p
+            numerator, common = self._scaled()
+            weight, walk = self.design._walk(cap)
+            table: dict[frozenset[str], list[int]] = defaultdict(lambda: [0, 0])
+            for seeds, w in walk:
+                group = table[_observed(self.big, seeds)]
+                group[0] += w * numerator(seeds)
+                group[1] += w
+            self._groups = weight, common, table
         return self._groups
 
-    def evaluator(self, cap: int | None = None) -> Callable[[Iterable[str]], Fraction]:
-        """Seeds -> estimate; one draw costs the successor lists of its seeds."""
-        if not self.spec.rao_blackwell:
-            return self._unconditioned()
-        means = {observed: num / den for observed, (num, den) in self._group_table(cap).items()}
-        return lambda seeds: means[_observed(self.big, seeds)]
+    def evaluator(self, cap: int | None = None, divide: Callable[[int, int], object] = Fraction
+                  ) -> Callable[[Iterable[str]], object]:
+        """Seeds -> estimate; one draw costs the successor lists of its seeds.
+
+        The estimate is divide(numerator, denominator) of two integers: the
+        exact Fraction by default. With operator.truediv it is a float,
+        correctly rounded as float(Fraction) is, so both give the same float."""
+        if self.spec.rao_blackwell:
+            _, common, table = self._group_table(cap)
+            means = {observed: divide(num, den * common) for observed, (num, den) in table.items()}
+            return lambda seeds: means[_observed(self.big, seeds)]
+        numerator, common = self._scaled()
+        return lambda seeds: divide(numerator(seeds), common)
 
     def moments(self, cap: int | None) -> tuple[Fraction, Fraction] | None:
         """(E[x], E[x²]) without a walk of their own, or None when only a walk
         gives them: the group table holds them for a Rao-Blackwellized spec,
         as Σ num and Σ num²/den, and under SRSWOR the pair probabilities do."""
         if self.spec.rao_blackwell:
-            groups = self._group_table(cap).values()
-            return (sum((num for num, _ in groups), Fraction(0)),
-                    sum((num * num / den for num, den in groups), Fraction(0)))
+            weight, common, table = self._group_table(cap)
+            first = sum(num for num, _ in table.values())
+            # Groups of equal total weight share a denominator: one Fraction each.
+            squares: dict[int, int] = defaultdict(int)
+            for num, den in table.values():
+                squares[den] += num * num
+            second = sum((Fraction(s, den) for den, s in squares.items()), Fraction(0))
+            return Fraction(first, weight * common), second / (weight * common * common)
         if self.design.kind != SRSWOR:
             return None
         values = [self.value(row) for row in self.rows]
@@ -339,16 +374,18 @@ class _Plan:
 
     def conditioned(self, observed: SampleBig, cap: int | None = None) -> EstimatorReport:
         """Rao-Blackwell report: one row per initial sample observing the same motifs."""
-        base = self._unconditioned()
+        numerator, common = self._scaled()
+        _, walk = self.design._walk(cap)
         target = frozenset(observed.motifs)
-        points = [(seeds, p, base(seeds)) for seeds, p in self.design.enumerate(cap)
+        points = [(seeds, w, numerator(seeds)) for seeds, w in walk
                   if _observed(self.big, seeds) == target]
-        den = sum((p for _, p, _ in points), Fraction(0))
+        den = sum(w for _, w, _ in points)
         if den == 0:
             raise DesignError("no initial sample realizes the observed motif set")
-        num = sum((p * est for _, p, est in points), Fraction(0))
-        rows = tuple((" ".join(sorted(seeds)), p / den, est) for seeds, p, est in points)
-        return EstimatorReport(num / den, self.spec.scale, rows)
+        num = sum(w * x for _, w, x in points)
+        rows = tuple((" ".join(sorted(seeds)), Fraction(w, den), Fraction(x, common))
+                     for seeds, w, x in points)
+        return EstimatorReport(Fraction(num, den * common), self.spec.scale, rows)
 
 
 def estimate(spec: EstimatorSpec, design: Design, big: Big, sample: SampleBig,
@@ -478,14 +515,25 @@ def _summaries(design: Design, plans: list[_Plan], cap: int | None = None,
     closed-form induced moments are not bounded by it."""
     raw = [plan.moments(cap) for plan in plans]
     if samples is not None or None in raw:
-        points = [] if samples is None else samples
-        evaluators = [plan.evaluator(cap) for plan in plans]
-        points.extend((seeds, p, tuple(evaluate(seeds) for evaluate in evaluators))
-                      for seeds, p in design.enumerate(cap))
-        for j, moments in enumerate(raw):
-            if moments is None:
-                raw[j] = (sum((p * x[j] for _, p, x in points), Fraction(0)),
-                          sum((p * x[j] * x[j] for _, p, x in points), Fraction(0)))
+        weight, walk = design._walk(cap)
+        # Each plan's value at a support point is x / c: an integer numerator
+        # over the plan's common denominator or, Rao-Blackwellized, its group
+        # mean over 1. Plans without moments sum Σ w·x and Σ w·x² over the walk.
+        values = [(plan.evaluator(cap), 1) if plan.spec.rao_blackwell else plan._scaled()
+                  for plan in plans]
+        sums = {j: [0, 0] for j, moments in enumerate(raw) if moments is None}
+        probability: dict[int, Fraction] = {}
+        for seeds, w in walk:
+            xs = [value(seeds) for value, _ in values]
+            for j, acc in sums.items():
+                acc[0] += w * xs[j]
+                acc[1] += w * xs[j] * xs[j]
+            if samples is not None:
+                p = probability.get(w) or probability.setdefault(w, Fraction(w, weight))
+                samples.append((seeds, p, tuple(Fraction(x, c) for x, (_, c) in zip(xs, values))))
+        for j, (first, second) in sums.items():
+            c = values[j][1]
+            raw[j] = Fraction(first, weight * c), Fraction(second, weight * c * c)
     summaries = []
     for plan, (mean, square) in zip(plans, raw):
         # The probabilities sum to exactly one, so these equal the
@@ -528,8 +576,8 @@ def monte_carlo_moments(design: Design, big: Big, spec: EstimatorSpec,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rng = random.Random(seed)
-    evaluate = _Plan(design, big, spec).evaluator(cap)
-    values = [float(evaluate(design.draw(rng))) for _ in range(replicates)]
+    evaluate = _Plan(design, big, spec).evaluator(cap, operator.truediv)
+    values = [evaluate(design.draw(rng)) for _ in range(replicates)]
     r = replicates
     mean = math.fsum(values) / r
     target = float(big.theta() / _scale_divisor(big, spec.scale))

@@ -9,6 +9,8 @@ the production modules, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from collections import deque, namedtuple
 from fractions import Fraction
 
@@ -511,3 +513,24 @@ def oracle_rb_moments(points, beta, estimate):
     expectation = sum(p * value[s] for s, p in points)
     variance = sum(p * (value[s] - expectation) ** 2 for s, p in points)
     return expectation, variance
+
+
+def oracle_monte_carlo(draw, estimate, replicates, seed, target):
+    """Monte Carlo summary of ``replicates`` draws from random.Random(seed):
+    (mean, variance, mse, their standard errors, target) as floats.
+
+    ``draw`` maps the generator to an initial sample and ``estimate`` maps
+    that sample to its exact Fraction estimate, which is converted to a
+    float on its own before any statistic is taken."""
+    rng = random.Random(seed)
+    values = [float(estimate(draw(rng))) for _ in range(replicates)]
+    r = replicates
+    mean = math.fsum(values) / r
+    goal = float(target)
+    m2 = math.fsum((x - mean) ** 2 for x in values) / r
+    m4 = math.fsum((x - mean) ** 4 for x in values) / r
+    mse = math.fsum((x - goal) ** 2 for x in values) / r
+    q4 = math.fsum((x - goal) ** 4 for x in values) / r
+    variance = m2 * r / (r - 1) if r > 1 else 0.0
+    return (mean, variance, mse, math.sqrt(m2 / r), math.sqrt(max(m4 - m2 * m2, 0.0) / r),
+            math.sqrt(max(q4 - mse * mse, 0.0) / r), goal)

@@ -372,13 +372,13 @@ def test_enumerate_json_lists_every_sample(tmp_path, capsys):
 
 def test_enumerate_json_walks_the_design_once_per_compile(tmp_path, capsys, monkeypatch):
     calls = []
-    walk = Design.enumerate
+    walk = Design._walk
 
     def counted(self, cap=None):
         calls.append(cap)
         return walk(self, cap)
 
-    monkeypatch.setattr(Design, "enumerate", counted)
+    monkeypatch.setattr(Design, "_walk", counted)
     out_path = tmp_path / "rb.json"
     code, _, _ = run_cli(capsys, "enumerate", "thompson1990", "--rule", "acs-b",
                          "--estimator", "rb:modified-ht", "--out", str(out_path))

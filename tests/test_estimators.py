@@ -453,17 +453,42 @@ def test_inclusion_probabilities_refuse_units_outside_the_frame():
 
 def test_rao_blackwell_moments_walk_the_design_once(monkeypatch):
     calls = []
-    walk = Design.enumerate
+    walk = Design._walk
 
     def counted(self, cap=None):
         calls.append(cap)
         return walk(self, cap)
 
-    monkeypatch.setattr(Design, "enumerate", counted)
+    monkeypatch.setattr(Design, "_walk", counted)
     pop = thompson1990()
     spec = EstimatorSpec.parse("rb:modified-ht")
     assert exact_moments(pop.design, pop.bigs["acs-b"], spec).expectation == 1013
     assert len(calls) == 1
+
+
+def test_listed_design_moments_share_one_walk(monkeypatch):
+    big = _demo_big()
+    listed = Design.enumerated("abc", [("ab", Fraction(1, 3)), ("bc", Fraction(1, 2)),
+                                       ("c", Fraction(1, 6))])
+    specs = [EstimatorSpec.parse(label) for label in ("ht", "hh:equal-share", "hh:inverse-alpha")]
+    want = []
+    for spec in specs:
+        values = [(p, estimate(spec, listed, big, realize_sample_big(big, seeds)).estimate)
+                  for seeds, p in listed.enumerate()]
+        mean = sum(p * x for p, x in values)
+        want.append((mean, sum(p * (x - mean) ** 2 for p, x in values)))
+    calls = []
+    walk = Design._walk
+
+    def counted(self, cap=None):
+        calls.append(cap)
+        return walk(self, cap)
+
+    monkeypatch.setattr(Design, "_walk", counted)
+    got = enumerate_moments(listed, big, specs)
+    assert len(calls) == 1
+    assert [(m.expectation, m.variance) for m in got] == want
+    assert all(m.expectation == big.theta() for m in got)
 
 
 @pytest.mark.parametrize("rule", ["acs-b", "acs-b-star", "acs-b-dagger"])
