@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .big import (ACS_B, ACS_B_DAGGER, ACS_B_STAR, FULL, MOTIF_PLUS,
@@ -132,9 +133,10 @@ def _wants_json(cfg: ExperimentConfig, default_json: bool = False) -> bool:
     return cfg.out.endswith(".json")
 
 
-def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[str]], body: dict,
-          seed: int | None = None, default_json: bool = False) -> None:
-    """Write a report to ``--out`` or stdout: ``body`` as JSON when the
+def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[str]],
+          body: Callable[[], dict], seed: int | None = None,
+          default_json: bool = False) -> None:
+    """Write a report to ``--out`` or stdout: ``body()`` as JSON when the
     output path ends in .json (with no path, when ``default_json``), else
     ``header`` and ``rows`` as CSV.
 
@@ -145,8 +147,8 @@ def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[str]], body:
         report = {"version": __version__, "config": cfg.to_dict()}
         if seed is not None:
             report["seed"] = seed
-        report.update(body)
-        _write(cfg, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        report.update(body())
+        _write(cfg, _json(report) + "\n")
         return
     lines = [f"# bigs {__version__}",
              "# config " + json.dumps(cfg.to_dict(), sort_keys=True,
@@ -156,6 +158,74 @@ def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[str]], body:
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
     _write(cfg, "\n".join(lines) + "\n")
+
+
+_ascii = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, where ``pad`` is the line break and indent of the value's own
+    line. It stands in for that call because with ``indent`` set the
+    stdlib takes its slower pure-Python encoder. A callable stands for
+    text it renders itself: it is called with ``pad``."""
+    if isinstance(value, str):
+        return _ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    if isinstance(value, dict):
+        # Non-str keys raise TypeError in _ascii; no report has them.
+        items = [f"{_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    if callable(value):
+        return value(pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _sample_rows(labels: list[str], samples: list) -> Callable[[str], str]:
+    """The ``samples`` list of the enumerate report, rendered for ``_json``
+    straight from (initial sample, probability, estimates) tuples through
+    one row template: the bytes of the equivalent dicts, without them."""
+    # A repeated label keeps its last estimate, as the dict would.
+    order = sorted({label: j for j, label in enumerate(labels)}.items())
+
+    def render(pad: str) -> str:
+        if not samples:
+            return "[]"
+        p1, p2, p3, p4 = (pad + "  " * depth for depth in range(1, 5))
+        # Fractions print as digits, "-" and "/": nothing to escape.
+        estimates = f",{p3}".join(f'{_ascii(label)}: {{{p4}"exact": "%s",{p4}"value": %s{p3}}}'
+                                  for label, _ in order)
+        row = (f'{{{p2}"estimates": {{{p3}{estimates}{p2}}},{p2}"probability": "%s",'
+               f'{p2}"sample": %s{p1}}}')
+        rows = []
+        for s0, p, values in samples:
+            numbers = [text for _, j in order
+                       for text in (values[j], float.__repr__(float(values[j])))]
+            units = f",{p3}".join(map(_ascii, sorted(s0)))
+            rows.append(row % (*numbers, p, f"[{p3}{units}{p2}]" if units else "[]"))
+        return f"[{p1}{f',{p1}'.join(rows)}{pad}]"
+
+    return render
 
 
 def _read_text(path: str) -> str:
@@ -327,7 +397,7 @@ def _run_motifs(cfg: ExperimentConfig) -> int:
         results = [[cls.label, m.key, len(m.members), sorted(m.members)]
                    for cls, ms in pairs for m in ms]
     rows = [[" ".join(v) if isinstance(v, list) else str(v) for v in row] for row in results]
-    _emit(cfg, header, rows, {"results": [dict(zip(header, row)) for row in results]})
+    _emit(cfg, header, rows, lambda: {"results": [dict(zip(header, row)) for row in results]})
     return 0
 
 
@@ -341,12 +411,13 @@ def _run_big(cfg: ExperimentConfig) -> int:
         design = _design_for(cfg, resolved.big.frame)
         report = check_feasibility(resolved.big, design=design, graph=resolved.graph,
                                    stages=cfg.t)
-        body = {"feasible": report.feasible,
-                "violations": list(report.violations),
-                "checks": report.checks}
         rows = [[str(report.feasible).lower(), str(report.checks), v]
                 for v in report.violations or [""]]
-        _emit(cfg, ["feasible", "checks", "violation"], rows, body, default_json=True)
+        _emit(cfg, ["feasible", "checks", "violation"], rows,
+              lambda: {"feasible": report.feasible,
+                       "violations": list(report.violations),
+                       "checks": report.checks},
+              default_json=True)
         return 0 if report.feasible else 1
     raise ValueError(f"unknown big action {action!r} (build, check or export)")
 
@@ -362,20 +433,23 @@ def _run_sample(cfg: ExperimentConfig) -> int:
         s0 = design.draw(random.Random(seed))
     sample = realize_sample_big(big, s0)
     results = [(spec, estimate(spec, design, big, sample, cap=cfg.cap)) for spec in specs]
-    body = {
-        "big": resolved.big_label,
-        "initial_sample": sorted(s0),
-        "observed_motifs": list(sample.motifs),
-        "out_ancestors": sorted(sample.out_ancestors),
-        "results": [
-            {"estimator": spec.label, "scale": spec.scale,
-             "estimate": float(report.estimate),
-             "exact": str(report.estimate),
-             "contributions": [
-                 {"id": ident, "probability": str(prob), "share": str(part)}
-                 for ident, prob, part in report.contributions]}
-            for spec, report in results],
-    }
+
+    def body() -> dict:
+        return {
+            "big": resolved.big_label,
+            "initial_sample": sorted(s0),
+            "observed_motifs": list(sample.motifs),
+            "out_ancestors": sorted(sample.out_ancestors),
+            "results": [
+                {"estimator": spec.label, "scale": spec.scale,
+                 "estimate": float(report.estimate),
+                 "exact": str(report.estimate),
+                 "contributions": [
+                     {"id": ident, "probability": str(prob), "share": str(part)}
+                     for ident, prob, part in report.contributions]}
+                for spec, report in results],
+        }
+
     rows = [[spec.label, spec.scale, _fmt(report.estimate)] for spec, report in results]
     _emit(cfg, ["estimator", "scale", "estimate"], rows, body, seed=seed, default_json=True)
     return 0
@@ -390,24 +464,22 @@ def _run_enumerate(cfg: ExperimentConfig) -> int:
     header = ["estimator", "scale", "expectation", "variance", "mse", "support"]
     rows = [[spec.label, spec.scale, _fmt(mom.expectation), _fmt(mom.variance),
              _fmt(mom.mse), str(mom.support)] for spec, mom in summaries]
-    body = {"big": resolved.big_label,
-            "results": [
-                {"estimator": spec.label, "scale": spec.scale,
-                 "expectation": float(mom.expectation),
-                 "variance": float(mom.variance),
-                 "mse": float(mom.mse),
-                 "target": float(mom.target),
-                 "exact": {"expectation": str(mom.expectation),
-                           "variance": str(mom.variance),
-                           "mse": str(mom.mse),
-                           "target": str(mom.target)},
-                 "support": mom.support}
-                for spec, mom in summaries],
-            "samples": [
-                {"sample": sorted(s0), "probability": str(p),
-                 "estimates": {spec.label: {"value": float(est), "exact": str(est)}
-                               for spec, est in zip(specs, estimates)}}
-                for s0, p, estimates in samples or ()]}
+
+    def body() -> dict:
+        return {"big": resolved.big_label,
+                "results": [
+                    {"estimator": spec.label, "scale": spec.scale,
+                     "expectation": float(mom.expectation),
+                     "variance": float(mom.variance),
+                     "mse": float(mom.mse),
+                     "target": float(mom.target),
+                     "exact": {"expectation": str(mom.expectation),
+                               "variance": str(mom.variance),
+                               "mse": str(mom.mse),
+                               "target": str(mom.target)},
+                     "support": mom.support}
+                    for spec, mom in summaries],
+                "samples": _sample_rows([spec.label for spec in specs], samples)}
     _emit(cfg, header, rows, body)
     return 0
 
@@ -423,24 +495,27 @@ def _run_simulate(cfg: ExperimentConfig) -> int:
              _fmt(mc.mean), _fmt(mc.se_mean), _fmt(mc.variance),
              _fmt(mc.se_variance), _fmt(mc.mse), _fmt(mc.se_mse)]
             for spec, mc in summaries]
-    body = {"big": resolved.big_label,
-            "results": [{"estimator": spec.label, **asdict(mc)} for spec, mc in summaries]}
-    _emit(cfg, header, rows, body, seed=seed)
+    _emit(cfg, header, rows,
+          lambda: {"big": resolved.big_label,
+                   "results": [{"estimator": spec.label, **asdict(mc)}
+                               for spec, mc in summaries]},
+          seed=seed)
     return 0
 
 
 def _emit_table1(cfg: ExperimentConfig, rep: Table1Reproduction) -> None:
-    body = {"builtin": THOMPSON1990,
-            "samples": [
-                {"sample": list(sample), "observed": list(observed),
-                 "estimates": {col.label: float(col.estimates[i])
-                               for col in rep.columns}}
-                for i, (sample, observed)
-                in enumerate(zip(rep.samples, rep.observed))],
-            "expectation": {col.label: float(col.expectation)
-                            for col in rep.columns},
-            "variance": {col.label: float(col.variance)
-                         for col in rep.columns}}
+    def body() -> dict:
+        return {"builtin": THOMPSON1990,
+                "samples": [
+                    {"sample": list(sample), "observed": list(observed),
+                     "estimates": {col.label: float(col.estimates[i])
+                                   for col in rep.columns}}
+                    for i, (sample, observed)
+                    in enumerate(zip(rep.samples, rep.observed))],
+                "expectation": {col.label: float(col.expectation)
+                                for col in rep.columns},
+                "variance": {col.label: float(col.variance)
+                             for col in rep.columns}}
     header = ["sample", "observed"] + [col.label for col in rep.columns]
     rows = []
     for i, (sample, observed) in enumerate(zip(rep.samples, rep.observed)):
@@ -452,13 +527,14 @@ def _emit_table1(cfg: ExperimentConfig, rep: Table1Reproduction) -> None:
 
 
 def _emit_table4(cfg: ExperimentConfig, rep: Table4Reproduction) -> None:
-    body = {"builtin": TABLE4_BIGS,
-            "initial_sample": list(rep.seeds),
-            "results": [
-                {"big": big_label, "estimator": estimator,
-                 "estimate": float(rep.value(big_label, estimator)),
-                 "exact": str(rep.value(big_label, estimator))}
-                for big_label, estimator in rep.labels]}
+    def body() -> dict:
+        return {"builtin": TABLE4_BIGS,
+                "initial_sample": list(rep.seeds),
+                "results": [
+                    {"big": big_label, "estimator": estimator,
+                     "estimate": float(rep.value(big_label, estimator)),
+                     "exact": str(rep.value(big_label, estimator))}
+                    for big_label, estimator in rep.labels]}
     rows = [[big_label, estimator, _fmt(rep.value(big_label, estimator), 3)]
             for big_label, estimator in rep.labels]
     _emit(cfg, ["big", "estimator", "estimate"], rows, body)

@@ -355,8 +355,11 @@ class _Plan:
     def moments(self, cap: int | None) -> tuple[Fraction, Fraction] | None:
         """(E[x], E[x²]) without a walk of their own, or None when only a walk
         gives them: the group table holds them for a Rao-Blackwellized spec,
-        as Σ num and Σ num²/den, and under SRSWOR the pair probabilities do."""
-        if self.spec.rao_blackwell:
+        as Σ num and Σ num²/den, and under SRSWOR the pair probabilities do.
+        HT is a function of the observed motif set, so under SRSWOR rb:ht
+        takes the HT closed form."""
+        if self.spec.rao_blackwell and not (self.spec.kind == HT
+                                            and self.design.kind == SRSWOR):
             weight, common, table = self._group_table(cap)
             first = sum(num for num, _ in table.values())
             # Groups of equal total weight share a denominator: one Fraction each.
@@ -497,9 +500,9 @@ def enumerate_moments(design: Design, big: Big, specs: Iterable[EstimatorSpec],
     """Exact moments of each spec.
 
     Under SRSWOR every spec but a Rao-Blackwellized one takes its moments
-    in closed form from the second-order inclusion probabilities; a
-    Rao-Blackwellized spec reads them from its table of observed motif
-    sets, built in one walk. The rest share one walk over the support,
+    in closed form from the second-order inclusion probabilities, and so
+    does rb:ht, which equals HT; a Rao-Blackwellized spec reads them from
+    its table of observed motif sets, built in one walk. The rest share one walk over the support,
     whose points (initial sample, probability, one estimate per spec) are
     appended to ``samples`` when it is a list; the walk then covers every
     spec. Supports larger than ``cap`` are refused either way.
@@ -548,7 +551,8 @@ def _summaries(design: Design, plans: list[_Plan], cap: int | None = None,
 def exact_moments(design: Design, big: Big, spec: EstimatorSpec,
                   cap: int | None = None) -> MomentSummary:
     """Expectation, variance and MSE: in closed form under SRSWOR, by
-    enumerating the design for Rao-Blackwellized specs and listed designs."""
+    enumerating the design for Rao-Blackwellized specs other than rb:ht
+    and for listed designs."""
     (summary,) = enumerate_moments(design, big, [spec], cap)
     return summary
 

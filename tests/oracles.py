@@ -9,6 +9,7 @@ the production modules, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque, namedtuple
@@ -534,3 +535,9 @@ def oracle_monte_carlo(draw, estimate, replicates, seed, target):
     variance = m2 * r / (r - 1) if r > 1 else 0.0
     return (mean, variance, mse, math.sqrt(m2 / r), math.sqrt(max(m4 - m2 * m2, 0.0) / r),
             math.sqrt(max(q4 - mse * mse, 0.0) / r), goal)
+
+
+def json_report(report):
+    """A JSON report as the standard library writes it: the reference for
+    the CLI's own writer."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -13,11 +13,12 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bigs import (AncestorRule, Big, Design, DesignError, EstimatorSpec, Graph, Motif,
-                  MotifSet, WeightScheme, acs_big, delta_matrix, exact_moments,
-                  induced_ht_moments)
+from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
+                  EstimatorSpec, Graph, Motif, MotifSet, WeightScheme, acs_big,
+                  delta_matrix, exact_moments, induced_ht_moments)
 
 from oracles import (oracle_acs_big, oracle_hh_moments, oracle_ht_moments,
                      oracle_induced_moments, oracle_point_estimator, oracle_rb_moments,
@@ -113,6 +114,10 @@ def test_closed_form_moments_equal_enumeration(instance):
         for design in (srs, twin):
             got = exact_moments(design, big, EstimatorSpec.parse(f"rb:{label}", scale=scale))
             assert_moments(got, expectation, variance, div)
+    # HT is a function of the observed motif set: Rao-Blackwellizing it changes nothing.
+    for design in (srs, twin):
+        assert (exact_moments(design, big, EstimatorSpec.parse("rb:ht", scale=scale))
+                == exact_moments(design, big, EstimatorSpec.parse("ht", scale=scale)))
 
     for scheme in (WeightScheme.equal_share(), WeightScheme.inverse_alpha()):
         closed = delta_or_refusal(big, srs, scheme)
@@ -154,3 +159,25 @@ def test_closed_form_moments_equal_enumeration(instance):
             got = exact_moments(design, acs, EstimatorSpec.parse("rb:modified-ht", scale=scale))
             assert_moments(got, expectation, variance, len(cells) if scale == "mean" else 1)
 
+
+def test_rb_ht_under_srswor_takes_the_closed_form(monkeypatch):
+    walks = []
+    walk = Design._walk
+
+    def counted(self, cap=None):
+        walks.append(cap)
+        return walk(self, cap)
+
+    monkeypatch.setattr(Design, "_walk", counted)
+    frame = ["u0", "u1", "u2", "u3"]
+    beta = {"a": frozenset({"u0", "u1"}), "b": frozenset({"u1", "u2", "u3"})}
+    big = Big(frame, MotifSet([Motif(k) for k in beta], {"a": Fraction(3), "b": Fraction(-1, 2)}),
+              beta, AncestorRule.full())
+    srs = Design.srswor(frame, 2)
+    rb_ht = EstimatorSpec.parse("rb:ht")
+    assert exact_moments(srs, big, rb_ht) == exact_moments(srs, big, EstimatorSpec.parse("ht"))
+    assert walks == []
+    # The support cap still refuses before any pricing.
+    with pytest.raises(EnumerationCapError):
+        exact_moments(srs, big, rb_ht, cap=5)
+    assert walks == []
