@@ -102,61 +102,105 @@ class AcsContext:
 
 
 class Big:
-    """A bipartite incidence graph over a unit frame and a motif set."""
+    """A bipartite incidence graph over a unit frame and a motif set.
 
-    __slots__ = ("frame", "motifs", "rule", "stages_required", "acs", "_beta", "_alpha")
+    Each β_k is kept as a sorted tuple of frame positions, in motif order;
+    the α_i, as tuples of motif indices, are derived on first use. The
+    ``frozenset[str]`` views of ``ancestors`` and ``successors`` are built
+    once per key, when first asked for.
+    """
+
+    __slots__ = ("frame", "motifs", "rule", "stages_required", "acs",
+                 "_pos", "_keys", "_beta", "_alpha", "_ancestor_views", "_successor_views")
 
     def __init__(self, frame: Iterable[str], motifs: MotifSet,
                  ancestors: Mapping[str, Iterable[str]], rule: AncestorRule,
                  stages_required: int | None = None, acs: AcsContext | None = None):
         frame = tuple(str(u) for u in frame)
-        if len(set(frame)) != len(frame):
+        pos = {u: p for p, u in enumerate(frame)}
+        if len(pos) != len(frame):
             raise ValueError("frame has duplicate units")
-        frame_set = frozenset(frame)
-        beta: dict[str, frozenset[str]] = {}
+        beta: dict[str, tuple[int, ...]] = {}
         for m in motifs:
-            anc = frozenset(str(u) for u in ancestors.get(m.key, ()))
+            anc = {str(u) for u in ancestors.get(m.key, ())}
             if not anc:
-                raise InfeasibleError(
-                    f"motif {m.key!r} has no ancestors: no initial selection can observe it")
-            if not anc <= frame_set:
-                raise ValueError(f"ancestors of {m.key!r} outside frame: {sorted(anc - frame_set)}")
-            beta[m.key] = anc
+                raise _unobservable(m.key)
+            outside = sorted(u for u in anc if u not in pos)
+            if outside:
+                raise ValueError(f"ancestors of {m.key!r} outside frame: {outside}")
+            beta[m.key] = tuple(sorted(map(pos.__getitem__, anc)))
         extra = set(ancestors) - set(beta)
         if extra:
             raise ValueError(f"ancestor sets for unknown motifs: {sorted(extra)}")
-        alpha: dict[str, set[str]] = {u: set() for u in frame}
-        for key, anc in beta.items():
-            for u in anc:
-                alpha[u].add(key)
+        self._fill(frame, pos, motifs, beta, rule, stages_required, acs)
+
+    def _fill(self, frame, pos, motifs, beta, rule, stages_required=None, acs=None):
         self.frame = frame
         self.motifs = motifs
         self.rule = rule
         self.stages_required = stages_required
         self.acs = acs
+        self._pos = pos
+        self._keys = tuple(beta)
         self._beta = beta
-        self._alpha = {u: frozenset(ks) for u, ks in alpha.items()}
+        self._alpha = None
+        self._ancestor_views: dict[str, frozenset[str]] = {}
+        self._successor_views: dict[str, frozenset[str]] = {}
 
-    def ancestors(self, key: str) -> frozenset[str]:
-        self.motifs.get(key)
-        return self._beta[key]
+    @classmethod
+    def _of(cls, frame: tuple[str, ...], pos: Mapping[str, int], motifs: MotifSet,
+            beta: dict[str, tuple[int, ...]], rule: AncestorRule,
+            stages_required: int | None = None, acs: AcsContext | None = None) -> "Big":
+        """A Big from checked parts: ``pos`` maps each frame unit to its
+        position and ``beta`` each motif key, in motif order, to the sorted,
+        non-empty tuple of its ancestors' positions."""
+        big = cls.__new__(cls)
+        big._fill(frame, pos, motifs, beta, rule, stages_required, acs)
+        return big
 
-    def successors(self, unit: str) -> frozenset[str]:
+    def _position(self, unit: str) -> int:
         try:
-            return self._alpha[unit]
+            return self._pos[unit]
         except KeyError:
             raise KeyError(f"unknown unit {unit!r}") from None
 
+    def _successor_indices(self) -> tuple[tuple[int, ...], ...]:
+        """α by frame position: the indices of the motifs each unit observes."""
+        if self._alpha is None:
+            alpha: list[list[int]] = [[] for _ in self.frame]
+            for j, positions in enumerate(self._beta.values()):
+                for p in positions:
+                    alpha[p].append(j)
+            self._alpha = tuple(map(tuple, alpha))
+        return self._alpha
+
+    def ancestors(self, key: str) -> frozenset[str]:
+        view = self._ancestor_views.get(key)
+        if view is None:
+            try:
+                positions = self._beta[key]
+            except KeyError:
+                raise KeyError(f"unknown motif {key!r}") from None
+            view = self._ancestor_views[key] = frozenset(map(self.frame.__getitem__, positions))
+        return view
+
+    def successors(self, unit: str) -> frozenset[str]:
+        view = self._successor_views.get(unit)
+        if view is None:
+            indices = self._successor_indices()[self._position(unit)]
+            view = self._successor_views[unit] = frozenset(map(self._keys.__getitem__, indices))
+        return view
+
     def edges(self):
         """Deterministic (unit, motif) incidence pairs."""
-        frame_pos = {u: i for i, u in enumerate(self.frame)}
-        for key in self.motifs.keys():
-            for u in sorted(self._beta[key], key=frame_pos.__getitem__):
-                yield (u, key)
+        frame = self.frame
+        for key, positions in self._beta.items():
+            for p in positions:
+                yield (frame[p], key)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(b) for b in self._beta.values())
+        return sum(map(len, self._beta.values()))
 
     def theta(self) -> Fraction:
         return self.motifs.total_y()
@@ -170,6 +214,10 @@ class Big:
     def __repr__(self) -> str:
         return (f"<Big rule={self.rule.label} |F|={len(self.frame)} "
                 f"|Omega|={len(self.motifs)} edges={self.n_edges}>")
+
+
+def _unobservable(key: str) -> InfeasibleError:
+    return InfeasibleError(f"motif {key!r} has no ancestors: no initial selection can observe it")
 
 
 def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
@@ -252,12 +300,12 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         _member_indices(unindexed, g)
     memo.clear()  # the ancestors need only the nodes within radius
 
-    label = g.labels.__getitem__
-    beta: dict[str, frozenset[str]] = {}
+    # The frame is the graph's labels, so a node index is a frame position.
+    beta: dict[str, tuple[int, ...]] = {}
     if rule.kind == MOTIF_ONLY:
         stages = 0
-        for m, _, diameter in checked:
-            beta[m.key] = m.members
+        for m, members, diameter in checked:
+            beta[m.key] = tuple(sorted(members))
             stages = max(stages, diameter)
     elif rule.kind == MOTIF_PLUS:
         stages = 0
@@ -266,8 +314,7 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
                 raise InfeasibleError(
                     f"motif {m.key!r} has member nodes in different components; "
                     f"{rule.label} needs a finite motif diameter")
-            reached = chain.from_iterable(map(near.__getitem__, members))
-            beta[m.key] = frozenset(map(label, reached))
+            beta[m.key] = tuple(sorted(set(chain.from_iterable(map(near.__getitem__, members)))))
             stages = max(stages, spread + 2 * rule.t)
     else:
         if rule.t is None:
@@ -280,17 +327,17 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         for m, members, _ in checked:
             reached = chain.from_iterable(map(near.__getitem__, members))
             if stages == 0:
-                anc = m.members if len(members) == 1 else frozenset()
+                anc = members if len(members) == 1 else ()
             elif len(members) <= 2:
-                anc = frozenset(map(label, reached))
+                anc = set(reached)
             else:
                 need = len(members) - 1
-                anc = frozenset(map(label, [u for u, n in Counter(reached).items() if n >= need]))
+                anc = [u for u, n in Counter(reached).items() if n >= need]
             if not anc:
                 raise InfeasibleError(
                     f"no unit observes motif {m.key!r} within {stages} stages")
-            beta[m.key] = anc
-    return Big(g.labels, motifs, beta, rule, stages_required=int(stages))
+            beta[m.key] = tuple(sorted(anc))
+    return Big._of(g.labels, g._index, motifs, beta, rule, stages_required=int(stages))
 
 
 def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule) -> Big:
@@ -313,34 +360,33 @@ def acs_big(grid: Graph, y: Mapping[str, object], threshold, rule: AncestorRule)
         above, [(u, v) for u, v in grid.edges() if u in inside and v in inside], grid.directed))
     assigned = {v: idx for idx, comp in enumerate(networks) for v in comp}
 
-    beta: dict[str, frozenset[str]] = {}
+    pos = grid._index
+    nets = [tuple(sorted(map(pos.__getitem__, comp))) for comp in networks]
+    beta: dict[str, tuple[int, ...]] = {}
     edge_grids = set()
-    for u in grid.labels:
+    for p, u in enumerate(grid.labels):
         if u in assigned:
-            beta[u] = networks[assigned[u]]
+            beta[u] = nets[assigned[u]]
             continue
         adjacent = sorted({assigned[v] for v in grid.incident(u) if v in assigned})
         if not adjacent:
-            beta[u] = frozenset([u])
+            beta[u] = (p,)
             continue
         edge_grids.add(u)
         if rule.kind == ACS_B_STAR:
-            beta[u] = frozenset([u])
+            beta[u] = (p,)
         elif rule.kind == ACS_B:
-            anc = {u}
-            for idx in adjacent:
-                anc |= networks[idx]
-            beta[u] = frozenset(anc)
+            beta[u] = tuple(sorted({p}.union(*(nets[idx] for idx in adjacent))))
         else:
             if len(adjacent) >= 2:
                 raise InfeasibleError(
                     f"edge grid {u!r} is contiguous to {len(adjacent)} networks; "
                     "no single network selection can guarantee its ancestors are observed")
-            beta[u] = networks[adjacent[0]]
+            beta[u] = nets[adjacent[0]]
 
     motifs = MotifSet([Motif(u, frozenset([u])) for u in grid.labels], values)
     context = AcsContext(grid, thr, networks, frozenset(edge_grids))
-    return Big(grid.labels, motifs, beta, rule, stages_required=None, acs=context)
+    return Big._of(grid.labels, pos, motifs, beta, rule, acs=context)
 
 
 def dump_big(big: Big) -> str:
@@ -354,8 +400,10 @@ def dump_big(big: Big) -> str:
             parts.extend(sorted(m.members))
         out.append(" ".join(parts))
     out.append("EDGES")
-    for u, key in big.edges():
-        out.append(f"{u} {key}")
+    frame = big.frame
+    for key, positions in big._beta.items():
+        tail = " " + key
+        out.extend([frame[p] + tail for p in positions])
     return "\n".join(out) + "\n"
 
 
@@ -369,14 +417,15 @@ def load_big(source) -> Big:
     section = None
     frame: list[str] = []
     motif_rows: list[tuple[str, Fraction, frozenset[str] | None]] = []
-    edges: list[tuple[str, str]] = []
-    seen_edges: set[tuple[str, str]] = set()
     order = {"FRAME": 0, "MOTIFS": 1, "EDGES": 2}
-    for lineno, parts in records(source):
+    rows = records(source)
+    for lineno, parts in rows:
         if len(parts) == 1 and (upper := parts[0].upper()) in order:
             if section is not None and order[upper] <= order[section]:
                 raise ParseError(f"section {upper} out of order", line=lineno)
             section = upper
+            if section == "EDGES":
+                break
         elif section == "FRAME":
             frame.extend(parts)
         elif section == "MOTIFS":
@@ -384,36 +433,53 @@ def load_big(source) -> Big:
                 raise ParseError("motif row needs 'key y-value [members...]'", line=lineno)
             members = frozenset(parts[2:]) if len(parts) > 2 else None
             motif_rows.append((parts[0], exact(parts[1], "y-value", lineno), members))
-        elif section == "EDGES":
-            if len(parts) != 2:
-                raise ParseError("edge row needs 'unit motif'", line=lineno)
-            pair = (parts[0], parts[1])
-            if pair in seen_edges:
-                raise ParseError(f"duplicate edge {parts[0]!r} {parts[1]!r}", line=lineno)
-            seen_edges.add(pair)
-            edges.append(pair)
         else:
             raise ParseError("content before FRAME section", line=lineno)
-    if len(set(frame)) != len(frame):
+    # The EDGES rows, if any: each edge is kept as its motif's index and its
+    # unit's frame position, and one with an unknown end as its labels.
+    pos = {u: p for p, u in enumerate(frame)}
+    index = {key: j for j, (key, _, _) in enumerate(motif_rows)}
+    beta: list[list[int]] = [[] for _ in motif_rows]
+    width = len(frame)
+    seen: set = set()
+    unknown = None
+    for lineno, parts in rows:
+        if len(parts) != 2:
+            if len(parts) == 1 and parts[0].upper() in order:
+                raise ParseError(f"section {parts[0].upper()} out of order", line=lineno)
+            raise ParseError("edge row needs 'unit motif'", line=lineno)
+        u, key = parts
+        p = pos.get(u)
+        j = index.get(key)
+        if p is not None and j is not None:
+            edge = j * width + p
+            beta[j].append(p)
+        else:
+            edge = (u, key)
+            unknown = unknown or edge
+        if edge in seen:
+            raise ParseError(f"duplicate edge {u!r} {key!r}", line=lineno)
+        seen.add(edge)
+    if len(pos) != len(frame):
         raise ParseError("duplicate frame units")
-    keys = [key for key, _, _ in motif_rows]
-    if len(set(keys)) != len(keys):
+    if len(index) != len(motif_rows):
         raise ParseError("duplicate motif keys")
-    frame_set = set(frame)
-    key_set = set(keys)
-    beta: dict[str, set[str]] = {key: set() for key in keys}
-    for u, key in edges:
-        if u not in frame_set:
+    if unknown is not None:
+        u, key = unknown
+        if u not in pos:
             raise ParseError(f"edge references unknown unit {u!r}")
-        if key not in key_set:
-            raise ParseError(f"edge references unknown motif {key!r}")
-        beta[key].add(u)
+        raise ParseError(f"edge references unknown motif {key!r}")
     for key, _, members in motif_rows:
-        if members is not None and not members <= frame_set:
+        if members is not None and not pos.keys() >= members:
             raise ParseError(f"motif {key!r} has members outside the frame")
     motifs = MotifSet([Motif(key, members) for key, _, members in motif_rows],
                       {key: yval for key, yval, _ in motif_rows})
-    return Big(frame, motifs, beta, AncestorRule.full(), stages_required=None)
+    ancestors: dict[str, tuple[int, ...]] = {}
+    for (key, _, _), positions in zip(motif_rows, beta):
+        if not positions:
+            raise _unobservable(key)
+        ancestors[key] = tuple(sorted(positions))
+    return Big._of(tuple(frame), pos, motifs, ancestors, AncestorRule.full())
 
 
 @dataclass(frozen=True)
@@ -451,25 +517,28 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             if u not in covered:
                 violations.append(f"unit {u!r} missing from the design frame")
     if graph is not None:
+        frame, keys, betas = big.frame, big._keys, tuple(big._beta.values())
+        alpha = big._successor_indices()
         if big.rule.kind in _ACS_KINDS:
             if big.acs is None:
                 violations.append("adaptive-cluster Big lacks its grid context")
             else:
+                grids = [frozenset(map(frame.__getitem__, beta)) for beta in betas]
                 # One expansion per unit serves all of its motifs.
-                values = _acs_values(graph, {key: big.motifs.y(key) for key in big.motifs.keys()})
-                for i in big.frame:
-                    obs = _acs_expand(graph, values, big.acs.threshold,
-                                      _check_seeds(graph, [i]))
-                    for k in sorted(big.successors(i)):
-                        checks += 1
-                        if k not in obs.observed:
+                values = _acs_values(graph, {key: big.motifs.y(key) for key in keys})
+                for i, found in zip(frame, alpha):
+                    observed = _acs_expand(graph, values, big.acs.threshold,
+                                           _check_seeds(graph, [i])).observed
+                    checks += len(found)
+                    for j in sorted(found, key=keys.__getitem__):
+                        k = keys[j]
+                        if k not in observed:
                             violations.append(
                                 f"selecting {i!r} does not observe motif {k!r}")
-                        missing = big.ancestors(k) - obs.observed
-                        if missing:
+                        if not observed.issuperset(grids[j]):
                             violations.append(
                                 f"selecting {i!r} observes motif {k!r} but not "
-                                f"its ancestors {sorted(missing)}")
+                                f"its ancestors {sorted(grids[j] - observed)}")
         else:
             horizon = stages if stages is not None else big.stages_required
             if horizon is None:
@@ -482,27 +551,39 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             # assumes the analyst knows the observation distances, so only
             # the observation guarantee is verified for it.
             verify_reach = big.rule.kind in (MOTIF_ONLY, MOTIF_PLUS)
-            labels = graph.labels
-            for i in big.frame:
+            # Ancestors as graph node indices (None: not a node), which are
+            # their frame positions when the frame is the graph's labels.
+            labels, index = graph.labels, graph._index.get
+            reach = betas if frame == labels else [
+                tuple(map(index, map(frame.__getitem__, beta))) for beta in betas if verify_reach]
+            members = [m.members for m in big.motifs]
+            complete = all(members)
+            for i, found in zip(frame, alpha):
                 # A single seed resolves the ball of radius horizon-1 and
-                # observes the ball of radius horizon.
-                seeds, ball = _reach(graph, [i], horizon)
-                nodes = {labels[u] for u in ball}
-                resolved = {labels[u] for u, wave in ball.items() if wave < horizon}
-                for k in sorted(big.successors(i)):
-                    checks += 1
-                    m = big.motifs.get(k)
-                    if not m.members:
-                        violations.append(f"motif {k!r} has no member set to check")
+                # observes the ball of radius horizon; the ball lists its
+                # nodes level by level.
+                _, ball = _reach(graph, [i], horizon)
+                cut = bisect_right(list(ball.values()), horizon - 1)
+                resolved = set(map(labels.__getitem__, islice(ball, cut)))
+                checks += len(found)
+                # A unit that resolves every member of its motifs, and whose
+                # ball holds their ancestors, passes every check at once.
+                seen = complete and resolved.issuperset(
+                    chain.from_iterable(map(members.__getitem__, found)))
+                if seen and (not verify_reach
+                             or ball.keys() >= set().union(*map(reach.__getitem__, found))):
+                    continue
+                for j in sorted(found, key=keys.__getitem__):
+                    if not members[j]:
+                        violations.append(f"motif {keys[j]!r} has no member set to check")
                         continue
-                    if not _observes(m.members, seeds, resolved):
+                    if not _observes(members[j], (i,), resolved):
                         violations.append(
-                            f"selecting {i!r} does not observe motif {k!r} "
+                            f"selecting {i!r} does not observe motif {keys[j]!r} "
                             f"within {horizon} stages")
-                    if verify_reach:
-                        missing = big.ancestors(k) - nodes
-                        if missing:
-                            violations.append(
-                                f"selecting {i!r} observes motif {k!r} but not "
-                                f"its ancestors {sorted(missing)}")
+                    if verify_reach and not all(map(ball.__contains__, reach[j])):
+                        missing = [frame[q] for q, a in zip(betas[j], reach[j]) if a not in ball]
+                        violations.append(
+                            f"selecting {i!r} observes motif {keys[j]!r} but not "
+                            f"its ancestors {sorted(missing)}")
     return FeasibilityReport(tuple(violations), checks)

@@ -15,6 +15,7 @@ and the package version, and are byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -604,7 +605,10 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, help="design enumeration cap")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bigs",
         description="Graph sampling with bipartite incidence representations: "
@@ -663,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         config = _merge_config(ns.mode, ns)
         return run(config)

@@ -34,7 +34,7 @@ def to_fraction(value) -> Fraction:
     """Exact value of a number or numeric string; floats by their shortest repr."""
     if isinstance(value, float):
         return Fraction(str(value))
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Design:
@@ -102,6 +102,8 @@ class Design:
 
     def _within_frame(self, units: Iterable[str]) -> frozenset[str]:
         """The units as a set; ValueError when some lie outside the frame."""
+        if type(units) is frozenset and units <= self._frame_set:
+            return units
         units = frozenset(map(str, units))
         if not units <= self._frame_set:
             raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
@@ -119,17 +121,28 @@ class Design:
         ``fully_selected``, contains all of them."""
         units = self._within_frame(units)
         if self.kind == SRSWOR:
-            # Priced once per set size; HH prices every frame unit as a singleton.
-            size = len(units), fully_selected
-            got = self._by_size.get(size)
-            if got is None:
-                got = self._by_size[size] = Fraction(self._hits(*size), self._samples)
-            return got
+            return self._sized(len(units), fully_selected)
         if fully_selected:
             hits = sum(w for s, w in self._weights if units <= s)
         else:
             hits = sum(w for s, w in self._weights if not units.isdisjoint(s))
         return Fraction(hits, self._common)
+
+    def _sized(self, m: int, fully_selected: bool) -> Fraction:
+        """SRSWOR ``inclusion`` of any m frame units, priced once per size."""
+        size = m, fully_selected
+        got = self._by_size.get(size)
+        if got is None:
+            got = self._by_size[size] = Fraction(self._hits(m, fully_selected), self._samples)
+        return got
+
+    def _pricer(self, frame: tuple[str, ...], fully_selected: bool = False
+                ) -> Callable[[Iterable[int]], Fraction]:
+        """Positions in ``frame`` -> ``inclusion`` of those units: by their
+        count under SRSWOR when the whole frame lies in the design's."""
+        if self.kind == SRSWOR and self._frame_set.issuperset(frame):
+            return lambda positions: self._sized(len(positions), fully_selected)
+        return lambda positions: self.inclusion([frame[p] for p in positions], fully_selected)
 
     def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
         """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR, for rows k, l hit
@@ -264,21 +277,20 @@ class SampleBig:
 
 def realize_sample_big(big, seeds: Iterable[str]) -> SampleBig:
     seeds = frozenset(str(s) for s in seeds)
-    frame = frozenset(big.frame)
-    if not seeds <= frame:
-        raise ValueError(f"seeds outside frame: {sorted(seeds - frame)}")
-    observed: set[str] = set()
+    outside = [s for s in seeds if s not in big._pos]
+    if outside:
+        raise ValueError(f"seeds outside frame: {sorted(outside)}")
+    alpha, keys = big._successor_indices(), big._keys
+    observed: set[int] = set()
     edges: set[tuple[str, str]] = set()
-    for i in sorted(seeds):
-        for k in big.successors(i):
-            observed.add(k)
-            edges.add((i, k))
-    order = {key: pos for pos, key in enumerate(big.motifs.keys())}
-    motifs = tuple(sorted(observed, key=order.__getitem__))
-    out = set()
-    for k in motifs:
-        out |= big.ancestors(k)
-    return SampleBig(seeds, motifs, frozenset(edges), frozenset(out - seeds))
+    for i in seeds:
+        found = alpha[big._pos[i]]
+        observed.update(found)
+        edges.update((i, keys[j]) for j in found)
+    motifs = sorted(observed)
+    out = {big.frame[p] for j in motifs for p in big._beta[keys[j]]}
+    return SampleBig(seeds, tuple(keys[j] for j in motifs), frozenset(edges),
+                     frozenset(out - seeds))
 
 
 def parse_design_file(source, frame: Iterable[str]) -> Design:

@@ -34,8 +34,11 @@ def records(source):
 
 def exact(token: str, what: str, line: int) -> Fraction:
     """The exact value of a numeric token (integer, fraction or decimal);
-    ParseError ``bad {what}`` at ``line`` otherwise."""
+    ParseError ``bad {what}`` at ``line`` otherwise. Plain ASCII integers,
+    signed or not, are read by ``int``; every other token by ``Fraction``."""
     try:
+        if token.isascii() and (token[1:] if token[:1] in "+-" else token).isdigit():
+            return Fraction(int(token))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad {what} {token!r}", line=line) from None

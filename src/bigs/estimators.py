@@ -17,12 +17,14 @@ from integers, which gives float() of its exact estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from . import design as _design
@@ -99,14 +101,22 @@ class WeightScheme:
 
 def resolve_weights(big: Big, scheme: WeightScheme) -> dict[str, dict[str, Fraction]]:
     """Materialize ω_ik per motif, checking the unit-sum constraint."""
-    rows: dict[str, dict[str, Fraction]] = {}
+    row = _weight_rows(big, scheme)
+    return {key: row(key) for key in big.motifs.keys()}
+
+
+def _weight_rows(big: Big, scheme: WeightScheme) -> Callable[[str], dict[str, Fraction]]:
+    """Motif key -> its row of ω_ik, made on first use. The scheme is
+    checked against the whole Big first, so every WeightError that
+    ``resolve_weights`` raises is raised here too."""
+    frame = big.frame
     if scheme.kind == EQUAL_SHARE:
-        for key in big.motifs.keys():
-            beta = big.ancestors(key)
-            share = Fraction(1, len(beta))
-            rows[key] = {u: share for u in beta}
-        return rows
-    if scheme.kind == INV_ALPHA:
+        def row(key: str) -> dict[str, Fraction]:
+            beta = big._beta[key]
+            return dict.fromkeys(map(frame.__getitem__, beta), Fraction(1, len(beta)))
+    elif scheme.kind == INV_ALPHA:
+        alpha = big._successor_indices()
+
         def alpha_size(u: str) -> int:
             if scheme.alpha_sizes is not None:
                 try:
@@ -114,32 +124,34 @@ def resolve_weights(big: Big, scheme: WeightScheme) -> dict[str, dict[str, Fract
                 except KeyError:
                     raise WeightError(f"no successor count supplied for unit {u!r}") from None
             else:
-                size = len(big.successors(u))
+                size = len(alpha[big._pos[u]])
             if size < 1:
                 raise WeightError(f"unit {u!r} has successor count {size}; need >= 1")
             return size
 
-        for key in big.motifs.keys():
-            beta = big.ancestors(key)
-            inverse = {u: Fraction(1, alpha_size(u)) for u in beta}
-            norm = sum(inverse.values())
-            rows[key] = {u: w / norm for u, w in inverse.items()}
-        return rows
-    table = scheme.table or {}
-    for key in big.motifs.keys():
-        rows[key] = {}
-    for (u, key), w in table.items():
-        if key not in rows:
-            raise WeightError(f"weight given for unknown motif {key!r}")
-        if u not in big.ancestors(key):
-            raise WeightError(f"weight on {u!r}->{key!r}, but {u!r} is not an ancestor")
-        rows[key][u] = w
-    for key, row in rows.items():
-        total = sum(row.values(), Fraction(0))
-        if total != 1:
-            raise WeightError(
-                f"weights for motif {key!r} sum to {total}, must be exactly 1")
-    return rows
+        # Every ancestor's count is checked, in motif order.
+        inverse = {p: Fraction(1, alpha_size(frame[p]))
+                   for p in dict.fromkeys(chain.from_iterable(big._beta.values()))}
+
+        def row(key: str) -> dict[str, Fraction]:
+            beta = big._beta[key]
+            norm = sum(map(inverse.__getitem__, beta))
+            return {frame[p]: inverse[p] / norm for p in beta}
+    else:
+        rows: dict[str, dict[str, Fraction]] = {key: {} for key in big.motifs.keys()}
+        for (u, key), w in (scheme.table or {}).items():
+            if key not in rows:
+                raise WeightError(f"weight given for unknown motif {key!r}")
+            if u not in big.ancestors(key):
+                raise WeightError(f"weight on {u!r}->{key!r}, but {u!r} is not an ancestor")
+            rows[key][u] = w
+        for key, weights in rows.items():
+            total = sum(weights.values(), Fraction(0))
+            if total != 1:
+                raise WeightError(
+                    f"weights for motif {key!r} sum to {total}, must be exactly 1")
+        return rows.__getitem__
+    return functools.cache(row)
 
 
 @dataclass(frozen=True)
@@ -211,6 +223,14 @@ def _scale_divisor(big: Big, scale: str) -> int:
     raise ValueError(f"unknown scale {scale!r}")
 
 
+def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Σ a·b over pairs of exact numbers: integers over the lcm of the
+    products' denominators, made into one Fraction."""
+    terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
+    common = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (common // d) for n, d in terms), common)
+
+
 def _eligibility_big(big: Big) -> Big:
     """The Big on which modified HT is plain HT.
 
@@ -222,14 +242,15 @@ def _eligibility_big(big: Big) -> Big:
     if big.acs is None:
         raise DesignError("modified HT needs an adaptive-cluster Big")
     edge_grids = big.acs.edge_grids
-    beta = {key: frozenset([key]) if key in edge_grids else big.ancestors(key)
-            for key in big.motifs.keys()}
-    return Big(big.frame, big.motifs, beta, big.rule, acs=big.acs)
+    beta = {key: (big._pos[key],) if key in edge_grids else positions
+            for key, positions in big._beta.items()}
+    return Big._of(big.frame, big._pos, big.motifs, beta, big.rule, acs=big.acs)
 
 
-def _observed(big: Big, seeds: Iterable[str]) -> frozenset[str]:
-    """The motifs of ``big`` that an initial sample observes."""
-    return frozenset().union(*(big.successors(u) for u in seeds))
+def _observed(big: Big, seeds: Iterable[str]) -> frozenset[int]:
+    """The indices of the motifs of ``big`` that an initial sample observes."""
+    alpha = big._successor_indices()
+    return frozenset().union(*(alpha[big._position(u)] for u in seeds))
 
 
 class _Plan:
@@ -243,6 +264,10 @@ class _Plan:
     the sample contains all of β_k: HT under induced observation is HT on
     a Big whose β_k are the member sets. Rao-Blackwellization conditions
     on the motif set observed on the original Big.
+
+    Rows are numbered: ``labels[r]`` names row r, ``hit_by[r]`` holds the
+    frame positions that hit it, and ``select[p]`` the rows that the unit
+    at position p hits.
     """
 
     def __init__(self, design: Design, big: Big, spec: EstimatorSpec,
@@ -253,45 +278,47 @@ class _Plan:
         self.fully_selected = fully_selected
         self.div = _scale_divisor(big, spec.scale)
         self._numerator: tuple[Callable[[Iterable[str]], int], int] | None = None
-        self._groups: tuple[int, int, dict[frozenset[str], list[int]]] | None = None
+        self._groups: tuple[int, int, dict[frozenset[int], list[int]]] | None = None
+        frame, keys, y = big.frame, big._keys, big.motifs.y
         if spec.kind == HH:
-            weights = resolve_weights(big, spec.weights)
-            self.rows = big.frame
-            self.select = self.hit_by = lambda unit: (unit,)
-            self.value = lambda unit: sum(
-                (weights[key][unit] * big.motifs.y(key) for key in big.successors(unit)),
-                Fraction(0))
+            weights = _weight_rows(big, spec.weights)
+            alpha = big._successor_indices()
+            self.labels = frame
+            self.select = self.hit_by = [(p,) for p in range(len(frame))]
+            self.value = lambda p: _dot((weights(keys[j])[frame[p]], y(keys[j])) for j in alpha[p])
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
-            self.rows = terms.motifs.keys()
-            self.select = terms.successors
-            self.hit_by = terms.ancestors
-            self.value = big.motifs.y
+            self.labels = keys
+            self.select = terms._successor_indices()
+            self.hit_by = list(terms._beta.values())
+            self.value = lambda j: y(keys[j])
+        self._price = design._pricer(frame, fully_selected)
 
-    def pi(self, row) -> Fraction:
+    def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""
-        return self.design.inclusion(self.hit_by(row), self.fully_selected)
+        return self._price(self.hit_by[row])
 
-    def _hits(self, seeds: Iterable[str]) -> set:
+    def _hits(self, seeds: Iterable[str]) -> set[int]:
         """The rows that an initial sample hits."""
-        seeds = frozenset(seeds)
-        return {row for unit in seeds for row in self.select(unit)
-                if not self.fully_selected or self.hit_by(row) <= seeds}
+        chosen = {self.big._position(u) for u in seeds}
+        return {row for p in chosen for row in self.select[p]
+                if not self.fully_selected or chosen.issuperset(self.hit_by[row])}
 
     def report(self, seeds: Iterable[str]) -> EstimatorReport:
         """The estimate with a (row, π, share) entry for each row hit, in row order.
 
         Only the rows hit are priced, so one report stays cheap."""
-        hit = self._hits(seeds)
         rows = []
-        total = Fraction(0)
-        for row in self.rows:
-            if row in hit:
-                pi = self.pi(row)
-                part = self.value(row) / pi / self.div
-                rows.append((row, pi, part))
-                total += part
+        for row in sorted(self._hits(seeds)):
+            pi = self.pi(row)
+            rows.append((self.labels[row], pi, self._share(self.value(row), pi)))
+        total = _dot((part, 1) for _, _, part in rows)
         return EstimatorReport(total, self.spec.scale, tuple(rows))
+
+    def _share(self, value: Fraction, pi: Fraction) -> Fraction:
+        """value / π / divisor, made as one Fraction."""
+        return Fraction(value.numerator * pi.denominator,
+                        value.denominator * pi.numerator * self.div)
 
     def _scaled(self) -> tuple[Callable[[Iterable[str]], int], int]:
         """(seeds -> integer numerator, common denominator) of the estimate.
@@ -301,18 +328,18 @@ class _Plan:
         is zero carries no term."""
         if self._numerator is None:
             term = {}
-            for row in self.rows:
+            for row in range(len(self.labels)):
                 value = self.value(row)
                 if value:
-                    term[row] = value / self.pi(row) / self.div
+                    term[row] = self._share(value, self.pi(row))
             common = math.lcm(*(t.denominator for t in term.values()))
             scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
             if self.fully_selected:
                 def numerator(seeds: Iterable[str]) -> int:
                     return sum(scaled.get(row, 0) for row in self._hits(seeds))
             else:
-                index = {unit: tuple(row for row in self.select(unit) if row in scaled)
-                         for unit in self.big.frame}
+                index = {unit: tuple(row for row in self.select[p] if row in scaled)
+                         for p, unit in enumerate(self.big.frame)}
 
                 def numerator(seeds: Iterable[str]) -> int:
                     hit = set()
@@ -323,14 +350,14 @@ class _Plan:
             self._numerator = numerator, common
         return self._numerator
 
-    def _group_table(self, cap: int | None) -> tuple[int, int, dict[frozenset[str], list[int]]]:
+    def _group_table(self, cap: int | None) -> tuple[int, int, dict[frozenset[int], list[int]]]:
         """(D, c, table): observed motif set -> [Σ w·x, Σ w] over the design
         support, from one walk made on first use. A support point has
         probability w / D and the unconditioned estimate x / c there."""
         if self._groups is None:
             numerator, common = self._scaled()
             weight, walk = self.design._walk(cap)
-            table: dict[frozenset[str], list[int]] = defaultdict(lambda: [0, 0])
+            table: dict[frozenset[int], list[int]] = defaultdict(lambda: [0, 0])
             for seeds, w in walk:
                 group = table[_observed(self.big, seeds)]
                 group[0] += w * numerator(seeds)
@@ -370,8 +397,8 @@ class _Plan:
             return Fraction(first, weight * common), second / (weight * common * common)
         if self.design.kind != SRSWOR:
             return None
-        values = [self.value(row) for row in self.rows]
-        second = _srswor_pair_sum(self.design, [self.hit_by(row) for row in self.rows], values,
+        values = [self.value(row) for row in range(len(self.labels))]
+        second = _srswor_pair_sum(self.design, self.hit_by, values,
                                   fully_selected=self.fully_selected)
         return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
 
@@ -379,7 +406,8 @@ class _Plan:
         """Rao-Blackwell report: one row per initial sample observing the same motifs."""
         numerator, common = self._scaled()
         _, walk = self.design._walk(cap)
-        target = frozenset(observed.motifs)
+        index = {key: j for j, key in enumerate(self.big._keys)}
+        target = frozenset(map(index.get, observed.motifs))
         points = [(seeds, w, numerator(seeds)) for seeds, w in walk
                   if _observed(self.big, seeds) == target]
         den = sum(w for _, w, _ in points)
@@ -438,25 +466,25 @@ class MomentSummary:
         return self.expectation - self.target
 
 
-def _srswor_pair_sum(design: Design, sets: list, values: list[Fraction],
+def _srswor_pair_sum(design: Design, sets: list[tuple[int, ...]], values: list[Fraction],
                      fully_selected: bool = False) -> Fraction:
     """Σ_k Σ_l y_k y_l π_(kl) / (π_(k) π_(l)) under an SRSWOR design.
 
-    Row k enters when the sample meets the unit set A_k or, with
-    ``fully_selected``, when it contains all of A_k. Either way π_(k) and
+    Row k enters when the sample meets the unit set A_k, given as the
+    sorted tuple of its frame positions, or, with ``fully_selected``, when
+    it contains all of A_k. Either way π_(k) and
     π_(kl) depend only on |A_k|, |A_l| and |A_k ∪ A_l|, so the products
     y_k y_l are first summed into those groups, as integers over the lcm
     of the y denominators: disjoint pairs in bulk from per-size totals,
     overlapping pairs (k = l among them) moved to their own group through
     an index from each unit to the sets already seen, with union sizes
-    from bit masks. Each group then costs one ratio.
+    from bit masks over the positions. Each group then costs one ratio.
     """
-    merged: dict[frozenset, Fraction] = defaultdict(Fraction)
+    merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     for units, y in zip(sets, values):
-        merged[frozenset(units)] += y
+        merged[units] += y
     scale = math.lcm(*(y.denominator for y in merged.values()))
-    bit: dict[str, int] = {}
-    earlier: dict[str, list[int]] = defaultdict(list)
+    earlier: dict[int, list[int]] = defaultdict(list)
     rows: list[tuple[int, int, int]] = []
     by_size: dict[int, int] = defaultdict(int)
     # Ordered pairs whose sets meet, summed by (a, b) and by (a, b, union), a <= b.
@@ -470,7 +498,7 @@ def _srswor_pair_sum(design: Design, sets: list, values: list[Fraction],
         mask = 0
         meets = set()
         for unit in units:
-            mask |= 1 << bit.setdefault(unit, len(bit))
+            mask |= 1 << unit
             meets.update(earlier[unit])
             earlier[unit].append(len(rows))
         by_size[a] += y_k

@@ -367,6 +367,54 @@ def oracle_acs_feasibility(nodes, edges, y, threshold, beta):
     return violations, checks
 
 
+def label_set_feasibility(big, nodes, edges, directed, stages=None):
+    """(violations, checks) of the graph checks of ``check_feasibility``, by
+    the label-set loops it ran before it kept frame positions: for each
+    frame unit one observation from that unit alone, then for each of its
+    successors, in key order, set differences of labels.
+
+    ``big`` is read only through ``frame``, ``rule``, ``stages_required``,
+    ``acs``, ``motifs`` and the ``ancestors``/``successors`` views; the
+    population graph comes as nodes, edges and a direction flag.
+    """
+    violations = []
+    checks = len(big.motifs)
+    if big.rule.kind.startswith("acs"):
+        if big.acs is None:
+            return ["adaptive-cluster Big lacks its grid context"], checks
+        adj = build_adjacency(nodes, edges)
+        y = {key: big.motifs.y(key) for key in big.motifs.keys()}
+        for i in big.frame:
+            observed = acs_expansion(adj, y, big.acs.threshold, i)
+            for k in sorted(big.successors(i)):
+                checks += 1
+                if k not in observed:
+                    violations.append(f"selecting {i!r} does not observe motif {k!r}")
+                missing = big.ancestors(k) - observed
+                if missing:
+                    violations.append(f"selecting {i!r} observes motif {k!r} but not "
+                                      f"its ancestors {sorted(missing)}")
+        return violations, checks
+    horizon = stages if stages is not None else big.stages_required
+    verify_reach = big.rule.kind in ("motif-only", "motif-plus")
+    for i in big.frame:
+        seen, _, resolved, _ = oracle_snowball_sample(nodes, edges, directed, [i], horizon)
+        for k in sorted(big.successors(i)):
+            checks += 1
+            members = big.motifs.get(k).members
+            if not members:
+                violations.append(f"motif {k!r} has no member set to check")
+                continue
+            if not pair_rule_observed(members, {i}, resolved):
+                violations.append(f"selecting {i!r} does not observe motif {k!r} "
+                                  f"within {horizon} stages")
+            missing = big.ancestors(k) - seen
+            if verify_reach and missing:
+                violations.append(f"selecting {i!r} observes motif {k!r} but not "
+                                  f"its ancestors {sorted(missing)}")
+    return violations, checks
+
+
 def random_graph(rng, max_nodes=9, min_nodes=2):
     n = rng.randint(min_nodes, max_nodes)
     nodes = [str(i) for i in range(1, n + 1)]

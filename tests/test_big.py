@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bigs import (AncestorRule, Big, Design, Graph, INFINITE, InfeasibleError, Motif,
-                  MotifClass, MotifSet, ParseError, acs_big, check_feasibility,
-                  dump_big, enumerate_motifs, first_order_inclusion, load_big,
-                  snowball_big, thompson1990)
+from bigs import (AncestorRule, Big, Design, EstimatorSpec, Graph, INFINITE,
+                  InfeasibleError, Motif, MotifClass, MotifSet, ParseError, acs_big,
+                  check_feasibility, dump_big, enumerate_motifs, estimate, exact_moments,
+                  first_order_inclusion, load_big, monte_carlo_moments,
+                  realize_sample_big, snowball_big, thompson1990)
+from bigs.errors import exact
 
-from oracles import (oracle_acs_big, oracle_acs_feasibility, oracle_snowball_big,
-                     random_orientation)
+from oracles import (label_set_feasibility, oracle_acs_big, oracle_acs_feasibility,
+                     oracle_snowball_big, random_orientation)
 from test_traversal import RULES
 
 TRIANGLE_TAIL = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
@@ -393,6 +395,8 @@ def test_load_big_parse_errors():
         load_big("FRAME\n1\nMOTIFS\nm 1\nEDGES\n9 m\n")
     with pytest.raises(ParseError, match="unknown motif"):
         load_big("FRAME\n1\nMOTIFS\nm 1\nEDGES\n1 zz\n")
+    with pytest.raises(ParseError, match="unknown unit '9'"):
+        load_big("FRAME\n1\nMOTIFS\nm 1\nEDGES\n9 m\n1 zz\n")
     with pytest.raises(ParseError, match="duplicate frame"):
         load_big("FRAME\n1 1\nMOTIFS\nm 1\nEDGES\n1 m\n")
     with pytest.raises(ParseError, match="duplicate motif"):
@@ -533,6 +537,7 @@ def test_acs_feasibility_expands_once_per_unit(monkeypatch):
 
 def test_acs_feasibility_matches_the_per_pair_oracle():
     rng = random.Random(1990)
+    order_rng = random.Random(1991)
     violated = 0
     for _ in range(40):
         cells, edges, y = _random_acs_grid(rng)
@@ -547,4 +552,126 @@ def test_acs_feasibility_matches_the_per_pair_oracle():
             report = check_feasibility(big, graph=grid)
             assert (list(report.violations), report.checks) == want
             violated += bool(report.violations)
+            # The same Big over a frame listed in another order.
+            frame = order_rng.sample(cells, len(cells))
+            shuffled = Big(frame, big.motifs, beta, big.rule, acs=big.acs)
+            report = check_feasibility(shuffled, graph=grid)
+            assert ((list(report.violations), report.checks)
+                    == label_set_feasibility(shuffled, cells, edges, False))
     assert violated
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@example(_MIXED, 0)
+@given(snowball_instances(), st.integers(0, 2 ** 32))
+def test_check_feasibility_equals_the_label_set_loops(instance, seed):
+    # Built, rebuilt over a shuffled frame, loaded from a file with that
+    # frame, and with random ancestor sets that break the guarantees.
+    nodes, edges, directed, members = instance
+    rng = random.Random(seed)
+    g = Graph(nodes, edges, directed)
+    graph = (list(g.labels), list(g.edges()), directed)
+    # Keys that sort against the motif order.
+    motifs = MotifSet([Motif(f"m{len(members) - i}", m) for i, m in enumerate(members)])
+    frame = rng.sample(g.labels, len(g.labels))
+    cases = []
+    for text in RULES:
+        try:
+            big = snowball_big(g, motifs, AncestorRule.parse(text))
+        except InfeasibleError:
+            continue
+        beta = {key: big.ancestors(key) for key in motifs.keys()}
+        shuffled = Big(frame, motifs, beta, big.rule, big.stages_required)
+        loaded = load_big(dump_big(shuffled))
+        cases += [(big, None), (shuffled, None), (loaded, big.stages_required)]
+    lying = {key: rng.sample(frame, rng.randint(1, len(frame))) for key in motifs.keys()}
+    for text in ("motif-only", "motif-plus:1"):
+        rule = AncestorRule.parse(text)
+        cases.append((Big(frame, motifs, lying, rule, rng.randint(0, 3)), None))
+    for big, stages in cases:
+        report = check_feasibility(big, graph=g, stages=stages)
+        assert (list(report.violations), report.checks) == label_set_feasibility(
+            big, *graph, stages=stages)
+
+
+def test_hot_paths_never_build_label_views(monkeypatch):
+    # Parsing, printing, building, checking and estimating read the
+    # integer positions, not the frozenset views.
+    def refuse(self, _):
+        raise AssertionError("a label view was built")
+
+    monkeypatch.setattr(Big, "ancestors", refuse)
+    monkeypatch.setattr(Big, "successors", refuse)
+    motifs = enumerate_motifs(TRIANGLE_TAIL, MotifClass("k2"))
+    for text in ("full:2", "motif-only", "motif-plus:1"):
+        big = snowball_big(TRIANGLE_TAIL, motifs, AncestorRule.parse(text))
+        back = load_big(dump_big(big))
+        assert list(back.edges()) == list(big.edges()) and dump_big(back) == dump_big(big)
+        assert check_feasibility(big, graph=TRIANGLE_TAIL).feasible
+        assert check_feasibility(back, graph=TRIANGLE_TAIL, stages=big.stages_required).feasible
+        design = Design.srswor(big.frame, 2)
+        sample = realize_sample_big(big, ["1", "4"])
+        for spec in map(EstimatorSpec.parse, ("ht", "hh:equal-share", "hh:inverse-alpha",
+                                              "rb:hh:equal-share")):
+            assert estimate(spec, design, big, sample).estimate
+            assert exact_moments(design, big, spec).expectation == big.theta()
+            monte_carlo_moments(design, big, spec, 20, 1)
+    pop = thompson1990()
+    assert check_feasibility(pop.bigs["acs-b-star"], graph=pop.graph).feasible
+    big = pop.bigs["acs-b"]
+    sample = realize_sample_big(big, ["2", "10"])
+    for spec in map(EstimatorSpec.parse, ("ht", "modified-ht", "rb:modified-ht")):
+        estimate(spec, pop.design, big, sample)
+        exact_moments(pop.design, big, spec)
+
+
+_TOKENS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.tuples(st.sampled_from(["", "+", "-", "--", "+-"]),
+              st.text("0123456789", max_size=5)).map("".join),
+    st.text("0123456789+-_/.eE ٣²x", max_size=7),
+    st.sampled_from(["3_000", "٣", "1e3", "3/7", "0.5", "1/0", "1" * 5000, " 7", "07"]),
+)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_TOKENS)
+def test_exact_reads_every_token_as_fraction_does(token):
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as raised:
+            exact(token, "y-value", 4)
+        assert type(raised.value) is ParseError
+        assert str(raised.value) == f"line 4: bad y-value {token!r}"
+    else:
+        got = exact(token, "y-value", 4)
+        assert type(got) is Fraction and got == want
+
+
+@st.composite
+def big_files(draw):
+    """A Big as a file would carry it: a frame in an order of its own,
+    motifs with or without members and any exact y-value, and units that
+    may observe nothing."""
+    labels = draw(st.lists(st.text("abxyz019", min_size=1, max_size=3),
+                           min_size=1, max_size=8, unique=True))
+    frame = draw(st.permutations(labels))
+    keys = draw(st.lists(st.text("kmq.-_", min_size=1, max_size=3), max_size=6, unique=True))
+    subsets = st.lists(st.sampled_from(frame), min_size=1, unique=True)
+    motifs, beta = [], {}
+    for key in keys:
+        members = draw(st.one_of(st.none(), subsets.map(frozenset)))
+        motifs.append(Motif(key, members))
+        beta[key] = draw(subsets)
+    y = {key: draw(st.fractions(max_denominator=12)) for key in keys}
+    return Big(frame, MotifSet(motifs, y), beta, AncestorRule.full())
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(big_files())
+def test_dump_and_load_round_trip_any_big(big):
+    text = dump_big(big)
+    back = load_big(text)
+    assert back == big
+    assert dump_big(back) == text

@@ -13,7 +13,7 @@ import pytest
 
 from bigs.big import acs_big, AncestorRule
 from bigs.builtins import builtin_population
-from bigs.cli import main
+from bigs.cli import build_parser, main
 from bigs.design import Design, realize_sample_big
 from bigs.estimators import EstimatorSpec, estimate, rao_blackwellize
 
@@ -53,6 +53,41 @@ def test_version_flag_reports_package_version(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.startswith("bigs ")
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # Subcommands run one after another on one parser, with an error and
+    # the help and version exits among them, give the bytes that a parser
+    # built for the call alone gives.
+    graph = write_graph(tmp_path)
+    report = tmp_path / "moments.json"
+    runs = [
+        ["motifs", graph, "--motif", "k3", "--motif", "s2", "--count"],
+        ["enumerate", "thompson1990", "--rule", "acs-b-star", "--estimator", "ht",
+         "--out", str(report)],
+        ["enumerate", "thompson1990", "--estimator", "ht"],
+        ["big", "build", graph, "--motif", "k3", "--rule", "motif-only"],
+    ]
+
+    def run(argv):
+        report.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *argv)
+        return code, out, err, report.read_bytes() if report.exists() else None
+
+    build_parser.cache_clear()
+    shared = []
+    for argv in runs:
+        shared.append(run(argv))
+        for exit_early in (["--version"], [argv[0], "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(exit_early)
+            assert exc.value.code == 0 and capsys.readouterr().out
+    assert build_parser.cache_info().misses == 1
+    for argv, got in zip(runs, shared):
+        build_parser.cache_clear()
+        assert run(argv) == got
+    assert [code for code, *_ in shared] == [0, 0, 2, 0]
+    assert shared[1][3] and shared[2][2].startswith("error: ")
 
 
 def test_motif_counts_csv(tmp_path, capsys):

@@ -56,6 +56,26 @@ def test_inverse_alpha_weights_from_big_and_supplied():
         resolve_weights(big, WeightScheme.inverse_alpha({"a": 0, "b": 1, "c": 1}))
 
 
+def test_hh_point_estimate_checks_weights_beyond_the_seeds():
+    # Seed c observes only z, whose row needs no weight of a or b, yet a
+    # scheme that is bad for a or for motif x is refused as a whole.
+    big = _demo_big()
+    design = Design.srswor(big.frame, 1)
+    sample = realize_sample_big(big, ["c"])
+
+    def hh(scheme):
+        return estimate(EstimatorSpec("hh", scheme), design, big, sample).estimate
+
+    assert hh(WeightScheme.inverse_alpha({"a": 1, "b": 1, "c": 1})) == 3
+    with pytest.raises(WeightError, match="no successor count supplied for unit 'a'"):
+        hh(WeightScheme.inverse_alpha({"b": 1, "c": 1}))
+    with pytest.raises(WeightError, match="unit 'a' has successor count 0"):
+        hh(WeightScheme.inverse_alpha({"a": 0, "b": 1, "c": 1}))
+    table = {("a", "x"): "1/3", ("b", "x"): "1/3", ("b", "y"): 1, ("c", "z"): 1}
+    with pytest.raises(WeightError, match="motif 'x' sum to 2/3"):
+        hh(WeightScheme.custom(table))
+
+
 def test_custom_weights_must_sum_to_one_exactly():
     big = _demo_big()
     table = {("a", "x"): "1/3", ("b", "x"): "2/3", ("b", "y"): 1, ("c", "z"): 1}
