@@ -21,16 +21,14 @@ from .motifs import (Motif, MotifClass, MotifSet, ancestor_neighborhood,
 from .sampling import (AcsObservation, SampleGraph, acs_sample, induced_sample,
                        motif_observed, snowball_sample)
 from .design import (Design, SampleBig, first_order_inclusion,
-                     parse_design_file, realize_sample_big,
-                     second_order_inclusion)
+                     parse_design_file, realize_sample_big)
 from .big import (AcsContext, AncestorRule, Big, FeasibilityReport, acs_big,
                   check_feasibility, dump_big, load_big, snowball_big)
 from .estimators import (DeltaMatrix, EstimatorReport, EstimatorSpec,
                          MomentSummary, MonteCarloSummary, WeightScheme,
                          delta_matrix, enumerate_moments, estimate,
-                         exact_moments, hh_estimate,
-                         ht_estimate, induced_ht_evaluator, induced_ht_moments,
-                         monte_carlo_moments,
+                         exact_moments, hh_estimate, ht_estimate,
+                         induced_ht_moments, monte_carlo_moments,
                          rao_blackwellize, resolve_weights,
                          srswor_equal_share_delta, variance_difference)
 from .builtins import (BuiltinPopulation, builtin_population, reproduce,
@@ -48,15 +46,14 @@ __all__ = [
     "AcsObservation", "SampleGraph", "acs_sample", "induced_sample",
     "motif_observed", "snowball_sample",
     "Design", "SampleBig", "first_order_inclusion", "parse_design_file",
-    "realize_sample_big", "second_order_inclusion",
+    "realize_sample_big",
     "AcsContext", "AncestorRule", "Big", "FeasibilityReport", "acs_big",
     "check_feasibility", "dump_big", "load_big", "snowball_big",
     "DeltaMatrix", "EstimatorReport", "EstimatorSpec", "MomentSummary",
     "MonteCarloSummary", "WeightScheme", "delta_matrix", "enumerate_moments",
-    "estimate", "exact_moments", "hh_estimate", "ht_estimate", "induced_ht_evaluator",
-    "induced_ht_moments", "monte_carlo_moments",
-    "rao_blackwellize", "resolve_weights", "srswor_equal_share_delta",
-    "variance_difference",
+    "estimate", "exact_moments", "hh_estimate", "ht_estimate",
+    "induced_ht_moments", "monte_carlo_moments", "rao_blackwellize",
+    "resolve_weights", "srswor_equal_share_delta", "variance_difference",
     "BuiltinPopulation", "builtin_population", "reproduce",
     "reproduce_table4", "reproduce_thompson1990", "table4_bigs",
     "thompson1990",

@@ -107,11 +107,11 @@ class Big:
     Each β_k is kept as a sorted tuple of frame positions, in motif order;
     the α_i, as tuples of motif indices, are derived on first use. The
     ``frozenset[str]`` views of ``ancestors`` and ``successors`` are built
-    once per key, when first asked for.
+    on each call and not kept; the library reads the positions.
     """
 
     __slots__ = ("frame", "motifs", "rule", "stages_required", "acs",
-                 "_pos", "_keys", "_beta", "_alpha", "_ancestor_views", "_successor_views")
+                 "_pos", "_keys", "_beta", "_alpha")
 
     def __init__(self, frame: Iterable[str], motifs: MotifSet,
                  ancestors: Mapping[str, Iterable[str]], rule: AncestorRule,
@@ -144,8 +144,6 @@ class Big:
         self._keys = tuple(beta)
         self._beta = beta
         self._alpha = None
-        self._ancestor_views: dict[str, frozenset[str]] = {}
-        self._successor_views: dict[str, frozenset[str]] = {}
 
     @classmethod
     def _of(cls, frame: tuple[str, ...], pos: Mapping[str, int], motifs: MotifSet,
@@ -174,22 +172,19 @@ class Big:
             self._alpha = tuple(map(tuple, alpha))
         return self._alpha
 
+    def _ancestry(self, key: str) -> tuple[int, ...]:
+        """β_k as the sorted tuple of its units' frame positions."""
+        try:
+            return self._beta[key]
+        except KeyError:
+            raise KeyError(f"unknown motif {key!r}") from None
+
     def ancestors(self, key: str) -> frozenset[str]:
-        view = self._ancestor_views.get(key)
-        if view is None:
-            try:
-                positions = self._beta[key]
-            except KeyError:
-                raise KeyError(f"unknown motif {key!r}") from None
-            view = self._ancestor_views[key] = frozenset(map(self.frame.__getitem__, positions))
-        return view
+        return frozenset(map(self.frame.__getitem__, self._ancestry(key)))
 
     def successors(self, unit: str) -> frozenset[str]:
-        view = self._successor_views.get(unit)
-        if view is None:
-            indices = self._successor_indices()[self._position(unit)]
-            view = self._successor_views[unit] = frozenset(map(self._keys.__getitem__, indices))
-        return view
+        indices = self._successor_indices()[self._position(unit)]
+        return frozenset(map(self._keys.__getitem__, indices))
 
     def edges(self):
         """Deterministic (unit, motif) incidence pairs."""

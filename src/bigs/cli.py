@@ -83,10 +83,14 @@ class ExperimentConfig:
 
 
 _TUPLE_FIELDS = {"motif_classes", "estimators", "seeds"}
+_INT_FIELDS = {"n", "t", "seed", "replicates", "cap"}
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str) -> dict:
+    """The config file's keys, null ones left unset; every other value must
+    have its field's JSON type: a list of strings, an integer, true or
+    false for ``count``, and a string for every other field."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -96,10 +100,23 @@ def load_config(path: str) -> dict:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key in _TUPLE_FIELDS:
-        if key in data and data[key] is not None:
-            data[key] = tuple(str(v) for v in data[key])
-    return data
+    checked = {}
+    for key, value in data.items():
+        if value is None:
+            continue
+        if key in _TUPLE_FIELDS:
+            want = "a list of strings"
+            ok = type(value) is list and all(type(v) is str for v in value)
+        elif key in _INT_FIELDS:
+            want, ok = "an integer", type(value) is int
+        elif key == "count":
+            want, ok = "true or false", type(value) is bool
+        else:
+            want, ok = "a string", type(value) is str
+        if not ok:
+            raise ValueError(f"config {path}: key {key!r} expects {want}")
+        checked[key] = tuple(value) if key in _TUPLE_FIELDS else value
+    return checked
 
 
 def _merge_config(mode: str, ns: argparse.Namespace) -> ExperimentConfig:

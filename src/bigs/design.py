@@ -100,15 +100,6 @@ class Design:
         """Number of support points."""
         return self._samples if self.kind == SRSWOR else len(self.points)
 
-    def _within_frame(self, units: Iterable[str]) -> frozenset[str]:
-        """The units as a set; ValueError when some lie outside the frame."""
-        if type(units) is frozenset and units <= self._frame_set:
-            return units
-        units = frozenset(map(str, units))
-        if not units <= self._frame_set:
-            raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
-        return units
-
     def _hits(self, m: int, fully_selected: bool) -> int:
         """SRSWOR samples that meet, or with ``fully_selected`` contain, m given units."""
         N, n = len(self.frame), self.n
@@ -119,7 +110,10 @@ class Design:
     def inclusion(self, units: Iterable[str], fully_selected: bool = False) -> Fraction:
         """Probability that the initial sample meets the units or, with
         ``fully_selected``, contains all of them."""
-        units = self._within_frame(units)
+        if type(units) is not frozenset or not units <= self._frame_set:
+            units = frozenset(map(str, units))
+            if not units <= self._frame_set:
+                raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
         if self.kind == SRSWOR:
             return self._sized(len(units), fully_selected)
         if fully_selected:
@@ -161,26 +155,23 @@ class Design:
 
         return ratio
 
-    def pair_ratio(self) -> Callable[[frozenset[str], frozenset[str]], Fraction]:
-        """(A, B) -> π_AB / (π_A π_B), where π_A is the probability that the
-        sample meets A and π_AB that it meets both sets.
+    def pair_ratio(self, frame: tuple[str, ...]
+                   ) -> Callable[[frozenset[int], frozenset[int]], Fraction]:
+        """(A, B) -> π_AB / (π_A π_B) for two sets of positions in ``frame``,
+        where π_A is the probability that the sample meets A and π_AB that
+        it meets both sets.
 
-        Under SRSWOR the ratio is priced once per size triple (|A|, |B|,
-        |A ∪ B|); on a listed design each set is priced once."""
-        if self.kind == SRSWOR:
+        Under SRSWOR, when the whole frame lies in the design's, the ratio
+        is priced once per size triple (|A|, |B|, |A ∪ B|); otherwise each
+        set is priced once, as ``inclusion`` prices it."""
+        if self.kind == SRSWOR and self._frame_set.issuperset(frame):
             sized = self.size_ratio()
+            return lambda A, B: sized(len(A), len(B), len(A | B))
+        pi = cache(self._pricer(frame))
 
-            def ratio(A: frozenset[str], B: frozenset[str]) -> Fraction:
-                union = A | B
-                if not union <= self._frame_set:
-                    self._within_frame(union)  # raises the out-of-frame error
-                return sized(len(A), len(B), len(union))
-        else:
-            pi = cache(self.inclusion)
-
-            def ratio(A: frozenset[str], B: frozenset[str]) -> Fraction:
-                pi_a, pi_b = pi(A), pi(B)
-                return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
+        def ratio(A: frozenset[int], B: frozenset[int]) -> Fraction:
+            pi_a, pi_b = pi(A), pi(B)
+            return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
 
         return ratio
 
@@ -250,13 +241,7 @@ class Design:
 
 def first_order_inclusion(design: Design, big, key: str) -> Fraction:
     """Probability that the motif is observed under the design and BIG."""
-    return design.inclusion(big.ancestors(key))
-
-
-def second_order_inclusion(design: Design, big, k: str, l: str) -> Fraction:
-    """Probability that both motifs are observed."""
-    bk, bl = big.ancestors(k), big.ancestors(l)
-    return design.inclusion(bk) + design.inclusion(bl) - design.inclusion(bk | bl)
+    return design._pricer(big.frame)(big._ancestry(key))
 
 
 @dataclass(frozen=True)

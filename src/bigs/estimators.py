@@ -101,50 +101,52 @@ class WeightScheme:
 
 def resolve_weights(big: Big, scheme: WeightScheme) -> dict[str, dict[str, Fraction]]:
     """Materialize ω_ik per motif, checking the unit-sum constraint."""
-    row = _weight_rows(big, scheme)
-    return {key: row(key) for key in big.motifs.keys()}
+    row, frame = _weight_rows(big, scheme), big.frame
+    return {key: {frame[p]: w for p, w in row(key).items()} for key in big._keys}
 
 
-def _weight_rows(big: Big, scheme: WeightScheme) -> Callable[[str], dict[str, Fraction]]:
-    """Motif key -> its row of ω_ik, made on first use. The scheme is
-    checked against the whole Big first, so every WeightError that
-    ``resolve_weights`` raises is raised here too."""
+def _weight_rows(big: Big, scheme: WeightScheme) -> Callable[[str], dict[int, Fraction]]:
+    """Motif key -> its row of ω_ik keyed by frame position, made on first
+    use. The scheme is checked against the whole Big first, so every
+    WeightError that ``resolve_weights`` raises is raised here too."""
     frame = big.frame
     if scheme.kind == EQUAL_SHARE:
-        def row(key: str) -> dict[str, Fraction]:
+        def row(key: str) -> dict[int, Fraction]:
             beta = big._beta[key]
-            return dict.fromkeys(map(frame.__getitem__, beta), Fraction(1, len(beta)))
+            return dict.fromkeys(beta, Fraction(1, len(beta)))
     elif scheme.kind == INV_ALPHA:
         alpha = big._successor_indices()
 
-        def alpha_size(u: str) -> int:
+        def alpha_size(p: int) -> int:
+            u = frame[p]
             if scheme.alpha_sizes is not None:
                 try:
                     size = int(scheme.alpha_sizes[u])
                 except KeyError:
                     raise WeightError(f"no successor count supplied for unit {u!r}") from None
             else:
-                size = len(alpha[big._pos[u]])
+                size = len(alpha[p])
             if size < 1:
                 raise WeightError(f"unit {u!r} has successor count {size}; need >= 1")
             return size
 
         # Every ancestor's count is checked, in motif order.
-        inverse = {p: Fraction(1, alpha_size(frame[p]))
+        inverse = {p: Fraction(1, alpha_size(p))
                    for p in dict.fromkeys(chain.from_iterable(big._beta.values()))}
 
-        def row(key: str) -> dict[str, Fraction]:
+        def row(key: str) -> dict[int, Fraction]:
             beta = big._beta[key]
             norm = sum(map(inverse.__getitem__, beta))
-            return {frame[p]: inverse[p] / norm for p in beta}
+            return {p: inverse[p] / norm for p in beta}
     else:
-        rows: dict[str, dict[str, Fraction]] = {key: {} for key in big.motifs.keys()}
+        rows: dict[str, dict[int, Fraction]] = {key: {} for key in big._keys}
         for (u, key), w in (scheme.table or {}).items():
             if key not in rows:
                 raise WeightError(f"weight given for unknown motif {key!r}")
-            if u not in big.ancestors(key):
+            p = big._pos.get(u)
+            if p not in big._beta[key]:
                 raise WeightError(f"weight on {u!r}->{key!r}, but {u!r} is not an ancestor")
-            rows[key][u] = w
+            rows[key][p] = w
         for key, weights in rows.items():
             total = sum(weights.values(), Fraction(0))
             if total != 1:
@@ -285,7 +287,7 @@ class _Plan:
             alpha = big._successor_indices()
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
-            self.value = lambda p: _dot((weights(keys[j])[frame[p]], y(keys[j])) for j in alpha[p])
+            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
@@ -642,32 +644,6 @@ class DeltaMatrix:
         return total
 
 
-def _motif_pair_ratio(design: Design, big: Big) -> Callable[[str, str], Fraction]:
-    """(k, l) -> π_(kl) / (π_(k) π_(l)), refusing pairs never observed together."""
-    ratio = design.pair_ratio()
-
-    def checked(k: str, l: str) -> Fraction:
-        got = ratio(big.ancestors(k), big.ancestors(l))
-        if got == 0:
-            raise DesignError(
-                f"motifs {k!r} and {l!r} have zero joint inclusion probability")
-        return got
-
-    return checked
-
-
-def _delta_keys(big: Big) -> tuple[str, ...]:
-    """The motif keys of a Δ matrix; EnumerationCapError when its K² entries
-    exceed ``design.DEFAULT_ENUMERATION_CAP``."""
-    keys = tuple(big.motifs.keys())
-    cap = _design.DEFAULT_ENUMERATION_CAP
-    if len(keys) ** 2 > cap:
-        raise EnumerationCapError(
-            f"variance-difference matrix over {len(keys)} motifs has {len(keys) ** 2} "
-            f"entries, above the cap of {cap}")
-    return keys
-
-
 def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix:
     """Exact variance-difference matrix for the given weight scheme.
 
@@ -675,42 +651,49 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
     ancestor sets, minus π_(kl) / (π_(k) π_(l)). Pairs that can never be
     selected together are refused. Under SRSWOR π_ij / (π_i π_j) takes one
     value off the diagonal, so the double sum needs only the overlap
-    Σ_i ω_ik ω_il. More than ``design.DEFAULT_ENUMERATION_CAP`` entries are
-    refused before any is priced.
+    Σ_i ω_ik ω_il over the shared ancestors. More than
+    ``design.DEFAULT_ENUMERATION_CAP`` entries are refused before any is
+    priced.
     """
-    keys = _delta_keys(big)
-    resolved = resolve_weights(big, weights)
-    motif_ratio = _motif_pair_ratio(design, big)
+    keys, cap = big._keys, _design.DEFAULT_ENUMERATION_CAP
+    if len(keys) ** 2 > cap:
+        raise EnumerationCapError(
+            f"variance-difference matrix over {len(keys)} motifs has {len(keys) ** 2} "
+            f"entries, above the cap of {cap}")
+    row = _weight_rows(big, weights)
+    rows = [row(key) for key in keys]
+    sets = [frozenset(positions) for positions in big._beta.values()]
+    ratio = design.pair_ratio(big.frame)
     if design.kind == SRSWOR:
         unit_ratio = design.size_ratio()
         same = unit_ratio(1, 1, 1)
         apart = unit_ratio(1, 1, 2) if len(design.frame) > 1 else Fraction(0)
 
-        def unit_sum(k: str, l: str) -> Fraction:
+        def unit_sum(a: int, b: int) -> Fraction:
             # Every row of ω sums to one, so the off-diagonal part is `apart`.
-            row_k, row_l = resolved[k], resolved[l]
-            if len(row_l) < len(row_k):
-                row_k, row_l = row_l, row_k
-            overlap = sum((w * row_l[i] for i, w in row_k.items() if i in row_l),
-                          Fraction(0))
-            return apart + (same - apart) * overlap
+            shared = sets[a] & sets[b]
+            if not shared:
+                return apart
+            row_a, row_b = rows[a], rows[b]
+            return apart + (same - apart) * _dot((row_a[p], row_b[p]) for p in shared)
     else:
-        pair_ratio = design.pair_ratio()
-        unit = {u: frozenset((u,)) for u in big.frame}
+        unit = [frozenset((p,)) for p in range(len(big.frame))]
 
-        def unit_sum(k: str, l: str) -> Fraction:
-            total = Fraction(0)
-            for i, w_ik in resolved[k].items():
-                for j, w_jl in resolved[l].items():
-                    total += pair_ratio(unit[i], unit[j]) * w_ik * w_jl
-            return total
+        def unit_sum(a: int, b: int) -> Fraction:
+            return sum((ratio(unit[i], unit[j]) * w_i * w_j
+                        for i, w_i in rows[a].items() for j, w_j in rows[b].items()),
+                       Fraction(0))
 
     entries: dict[tuple[str, str], Fraction] = {}
     for a, k in enumerate(keys):
-        for l in keys[a:]:
-            value = unit_sum(k, l) - motif_ratio(k, l)
-            entries[(k, l)] = value
-            entries[(l, k)] = value
+        for b in range(a, len(keys)):
+            l = keys[b]
+            value = unit_sum(a, b)
+            motifs = ratio(sets[a], sets[b])
+            if motifs == 0:
+                raise DesignError(
+                    f"motifs {k!r} and {l!r} have zero joint inclusion probability")
+            entries[(k, l)] = entries[(l, k)] = value - motifs
     return DeltaMatrix(keys, entries)
 
 
@@ -718,30 +701,17 @@ def srswor_equal_share_delta(big: Big, design: Design) -> DeltaMatrix:
     """Closed form of the variance-difference matrix for equal-share
     weights under simple random sampling without replacement.
 
-    Uses only the ancestor-set sizes m_k, m_l and overlap m_kl. Refuses
-    more than ``design.DEFAULT_ENUMERATION_CAP`` entries, as
-    ``delta_matrix`` does."""
+    With ω_ik = 1/m_k, the SRSWOR entry of ``delta_matrix``,
+    apart + (same - apart)·Σ_i ω_ik ω_il - π_(kl)/(π_(k)π_(l)), is the
+    paper's N²(1-n/N)/(n(N-1))·m_kl/(m_k m_l) + N(n-1)/(n(N-1))
+    - π_(kl)/(π_(k)π_(l)), from the ancestor-set sizes m_k, m_l and their
+    overlap m_kl; so this is that matrix. Refuses more than
+    ``design.DEFAULT_ENUMERATION_CAP`` entries, as ``delta_matrix`` does."""
     if design.kind != SRSWOR:
         raise DesignError("closed form requires a simple random sampling design")
-    n = design.n
-    N = len(design.frame)
-    if N < 2:
+    if len(design.frame) < 2:
         raise DesignError("closed form needs a frame of at least 2 units")
-    keys = _delta_keys(big)
-    lead = Fraction(N * N, n * (N - 1)) * (1 - Fraction(n, N))
-    tail = Fraction(N * (n - 1), n * (N - 1))
-    motif_ratio = _motif_pair_ratio(design, big)
-    entries: dict[tuple[str, str], Fraction] = {}
-    for a, k in enumerate(keys):
-        for l in keys[a:]:
-            beta_k = big.ancestors(k)
-            beta_l = big.ancestors(l)
-            m_kl = len(beta_k & beta_l)
-            value = (lead * Fraction(m_kl, len(beta_k) * len(beta_l)) + tail
-                     - motif_ratio(k, l))
-            entries[(k, l)] = value
-            entries[(l, k)] = value
-    return DeltaMatrix(keys, entries)
+    return delta_matrix(big, design, WeightScheme.equal_share())
 
 
 def variance_difference(delta: DeltaMatrix, motifs: MotifSet) -> Fraction:
@@ -761,12 +731,6 @@ def _induced_plan(motifs: MotifSet, design: Design, scale: str) -> _Plan:
     members = Big(design.frame, motifs, {m.key: m.members for m in motifs},
                   AncestorRule.motif_only())
     return _Plan(design, members, EstimatorSpec(HT, scale=scale), fully_selected=True)
-
-
-def induced_ht_evaluator(motifs: MotifSet, design: Design,
-                         scale: str = TOTAL) -> Callable[[Iterable[str]], Fraction]:
-    """Seeds -> HT estimate when motifs are observed only if fully selected."""
-    return _induced_plan(motifs, design, scale).evaluator()
 
 
 def induced_ht_moments(motifs: MotifSet, design: Design,

@@ -564,6 +564,30 @@ def oracle_rb_moments(points, beta, estimate):
     return expectation, variance
 
 
+def oracle_pair_ratios(points, beta):
+    """π_(kl) / (π_(k) π_(l)) for every ordered pair of motifs, with π_(k)
+    the probability that the sample meets β_k and π_(kl) that it meets
+    both, each counted over the listed (sample, probability) points."""
+    pi = {k: sum(p for s, p in points if s & anc) for k, anc in beta.items()}
+    return {(k, l): sum(p for s, p in points if s & beta[k] and s & beta[l]) / (pi[k] * pi[l])
+            for k in beta for l in beta}
+
+
+def oracle_delta(points, beta, rows):
+    """The variance-difference matrix from scratch: entry (k, l) is
+    Σ_i Σ_j π_ij ω_ik ω_jl / (π_i π_j) - π_(kl) / (π_(k) π_(l)), with ω the
+    weight rows {motif: {unit: weight}} and every π counted over the listed
+    (sample, probability) points."""
+    units = sorted(set().union(*beta.values()))
+    pi = {i: sum(p for s, p in points if i in s) for i in units}
+    joint = {(i, j): sum(p for s, p in points if i in s and j in s) / (pi[i] * pi[j])
+             for i in units for j in units}
+    motifs = oracle_pair_ratios(points, beta)
+    return {(k, l): sum((joint[i, j] * w_i * w_j for i, w_i in rows[k].items()
+                         for j, w_j in rows[l].items()), Fraction(0)) - motifs[k, l]
+            for k in beta for l in beta}
+
+
 def oracle_monte_carlo(draw, estimate, replicates, seed, target):
     """Monte Carlo summary of ``replicates`` draws from random.Random(seed):
     (mean, variance, mse, their standard errors, target) as floats.

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bigs import (AncestorRule, Big, Design, EstimatorSpec, Graph, INFINITE,
-                  InfeasibleError, Motif, MotifClass, MotifSet, ParseError, acs_big,
-                  check_feasibility, dump_big, enumerate_motifs, estimate, exact_moments,
-                  first_order_inclusion, load_big, monte_carlo_moments,
-                  realize_sample_big, snowball_big, thompson1990)
+                  InfeasibleError, Motif, MotifClass, MotifSet, ParseError, WeightScheme,
+                  acs_big, check_feasibility, delta_matrix, dump_big, enumerate_motifs,
+                  estimate, exact_moments, first_order_inclusion, induced_ht_moments,
+                  load_big, monte_carlo_moments, realize_sample_big, resolve_weights,
+                  snowball_big, srswor_equal_share_delta, thompson1990)
 from bigs.errors import exact
 
 from oracles import (label_set_feasibility, oracle_acs_big, oracle_acs_feasibility,
@@ -595,8 +596,8 @@ def test_check_feasibility_equals_the_label_set_loops(instance, seed):
 
 
 def test_hot_paths_never_build_label_views(monkeypatch):
-    # Parsing, printing, building, checking and estimating read the
-    # integer positions, not the frozenset views.
+    # Parsing, printing, building, checking, pricing, weighing and
+    # estimating read the integer positions, not the frozenset views.
     def refuse(self, _):
         raise AssertionError("a label view was built")
 
@@ -616,6 +617,18 @@ def test_hot_paths_never_build_label_views(monkeypatch):
             assert estimate(spec, design, big, sample).estimate
             assert exact_moments(design, big, spec).expectation == big.theta()
             monte_carlo_moments(design, big, spec, 20, 1)
+        listed = Design.enumerated(big.frame, list(design.enumerate()))
+        for d in (design, listed):
+            for scheme in (WeightScheme.equal_share(), WeightScheme.inverse_alpha()):
+                delta_matrix(big, d, scheme)
+            for key in big.motifs.keys():
+                first_order_inclusion(d, big, key)
+            assert induced_ht_moments(motifs, d).expectation == motifs.total_y()
+        assert srswor_equal_share_delta(big, design) == delta_matrix(
+            big, design, WeightScheme.equal_share())
+        rows = resolve_weights(big, WeightScheme.equal_share())
+        table = {(u, key): w for key, row in rows.items() for u, w in row.items()}
+        assert resolve_weights(big, WeightScheme.custom(table)) == rows
     pop = thompson1990()
     assert check_feasibility(pop.bigs["acs-b-star"], graph=pop.graph).feasible
     big = pop.bigs["acs-b"]

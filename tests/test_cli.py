@@ -366,6 +366,31 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys" in err and "esimators" in err
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("seeds", "10", "a list of strings"),
+    ("seeds", [1, 0], "a list of strings"),
+    ("estimators", "hh", "a list of strings"),
+    ("count", "false", "true or false"),
+    ("n", "2", "an integer"),
+    ("cap", "5", "an integer"),
+    ("replicates", 10.5, "an integer"),
+    ("seed", True, "an integer"),
+    ("scale", 1, "a string"),
+    ("n", None, None),
+    ("estimators", None, None),
+])
+def test_config_file_checks_each_value_against_its_field(tmp_path, capsys, key, value, want):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": "thompson1990", "rule": "acs-b-star",
+                               "seeds": ["1", "0"], key: value}))
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg))
+    if want is None:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: config {cfg}: key {key!r} expects {want}\n"
+
+
 def test_config_file_rejects_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")

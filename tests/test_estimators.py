@@ -10,14 +10,15 @@ import pytest
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   EstimatorSpec, Graph, Motif, MotifSet, SampleBig, WeightError,
                   WeightScheme, acs_big, delta_matrix, enumerate_moments, estimate,
-                  exact_moments, hh_estimate, ht_estimate, induced_ht_evaluator,
+                  exact_moments, first_order_inclusion, hh_estimate, ht_estimate,
                   induced_ht_moments,
                   monte_carlo_moments, rao_blackwellize, realize_sample_big,
                   resolve_weights, srswor_equal_share_delta,
                   thompson1990, variance_difference)
 
-from oracles import (oracle_hh_moments, oracle_ht_moments,
-                     oracle_induced_moments, random_incidence, srswor_samples)
+from oracles import (oracle_delta, oracle_hh_moments, oracle_ht_moments,
+                     oracle_induced_moments, oracle_pair_ratios, random_incidence,
+                     srswor_samples)
 
 MODIFIED = EstimatorSpec.parse("modified-ht")
 
@@ -334,6 +335,83 @@ def test_variance_difference_identity_on_random_incidence_graphs():
         done += 1
 
 
+def _weighted_points(rng, frame):
+    """A listed design with unequal probabilities; the whole frame is one of
+    its points, so every pair of units is selected together."""
+    subsets = {frozenset(rng.sample(frame, rng.randint(1, len(frame)))) for _ in range(3)}
+    subsets = sorted(subsets | {frozenset(frame)}, key=sorted)
+    weights = [rng.randint(1, 5) for _ in subsets]
+    return [(s, Fraction(w, sum(weights))) for s, w in zip(subsets, weights)]
+
+
+def test_delta_matrix_matches_the_counting_oracle():
+    rng = random.Random(2718)
+    for _ in range(10):
+        frame, beta, y = random_incidence(rng, max_frame=5, max_motifs=4)
+        n = rng.randint(2, len(frame))
+        big = _make_big(frame, beta, y)
+        srs = Design.srswor(frame, n)
+        points = _weighted_points(rng, frame)
+        alpha = {u: sum(u in anc for anc in beta.values()) for u in frame}
+        table = {(u, k): Fraction(rng.randint(1, 4)) for k, anc in beta.items() for u in anc}
+        custom = {k: {u: table[u, k] / sum(table[v, k] for v in anc) for u in anc}
+                  for k, anc in beta.items()}
+        schemes = [
+            (WeightScheme.equal_share(),
+             {k: {u: Fraction(1, len(anc)) for u in anc} for k, anc in beta.items()}),
+            (WeightScheme.inverse_alpha(),
+             {k: {u: Fraction(1, alpha[u]) / sum(Fraction(1, alpha[v]) for v in anc)
+                  for u in anc} for k, anc in beta.items()}),
+            (WeightScheme.custom({(u, k): w for k, row in custom.items()
+                                  for u, w in row.items()}), custom),
+        ]
+        for design, support in ((srs, list(srs.enumerate())),
+                                (Design.enumerated(frame, points), points)):
+            for scheme, rows in schemes:
+                delta = delta_matrix(big, design, scheme)
+                assert delta.keys == tuple(sorted(beta))
+                assert delta.entries == oracle_delta(support, beta, rows)
+        # The paper's closed form, with π_(kl) / (π_(k) π_(l)) counted.
+        N = len(frame)
+        lead = Fraction(N * N, n * (N - 1)) * (1 - Fraction(n, N))
+        tail = Fraction(N * (n - 1), n * (N - 1))
+        ratios = oracle_pair_ratios(list(srs.enumerate()), beta)
+        closed = {(k, l): lead * Fraction(len(beta[k] & beta[l]), len(beta[k]) * len(beta[l]))
+                  + tail - ratios[k, l] for k in beta for l in beta}
+        assert srswor_equal_share_delta(big, srs).entries == closed
+
+
+def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
+    # A Big over a shuffled part of the design's frame prices as the same
+    # Big over the whole frame in the design's order.
+    rng = random.Random(4321)
+    units = [f"u{i}" for i in range(1, 7)]
+    srs = Design.srswor(units, 3)
+    listed = Design.enumerated(units, _weighted_points(rng, units))
+    schemes = (WeightScheme.equal_share(), WeightScheme.inverse_alpha())
+    for _ in range(5):
+        part = rng.sample(units, 4)
+        beta = {f"m{j}": rng.sample(part, rng.randint(1, 4)) for j in range(3)}
+        y = {key: Fraction(rng.randint(-3, 6)) for key in beta}
+        big, ordered = _make_big(part, beta, y), _make_big(units, beta, y)
+        for design in (srs, listed):
+            for scheme in schemes:
+                assert delta_matrix(big, design, scheme) == delta_matrix(ordered, design, scheme)
+            for key in beta:
+                assert (first_order_inclusion(design, big, key)
+                        == first_order_inclusion(design, ordered, key))
+        assert srswor_equal_share_delta(big, srs) == srswor_equal_share_delta(ordered, srs)
+    outside = _make_big(["zz", "u1"], {"m": ["u1", "zz"]}, {"m": 1})
+    for design in (srs, listed):
+        with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+            first_order_inclusion(design, outside, "m")
+        for scheme in schemes:
+            with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+                delta_matrix(outside, design, scheme)
+    with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+        srswor_equal_share_delta(outside, srs)
+
+
 def test_delta_matrix_rejects_disjoint_never_jointly_selected():
     beta = {"x": ["a"], "y": ["b"]}
     big = _make_big(["a", "b"], beta, {"x": 1, "y": 1})
@@ -428,12 +506,13 @@ def test_induced_ht_evaluator_and_moments():
             y[key] = Fraction(rng.randint(-3, 6))
         motifs = MotifSet([Motif(k, members_by_key[k]) for k in sorted(members_by_key)], y)
 
-        evaluate = induced_ht_evaluator(motifs, d)
-        expectation = sum((p * evaluate(s) for s, p in d.enumerate()), Fraction(0))
-        assert expectation == motifs.total_y()
+        # The listed twin of the design takes the per-sample path.
+        listed = induced_ht_moments(motifs, Design.enumerated(frame, list(d.enumerate())))
+        assert listed.expectation == motifs.total_y()
 
         got = induced_ht_moments(motifs, d)
         want_e, want_v = oracle_induced_moments(frame, n, members_by_key, y)
+        assert listed.variance == want_v
         assert got.expectation == want_e
         assert got.variance == want_v
         assert got.mse == got.variance
@@ -443,11 +522,12 @@ def test_induced_ht_rejects_never_selected_motifs():
     d = Design.srswor(["a", "b", "c"], 2)
     wide = MotifSet([Motif("m", frozenset(["a", "b", "c"]))])
     with pytest.raises(DesignError, match="never be fully selected"):
-        induced_ht_evaluator(wide, d)
+        induced_ht_moments(wide, d)
+    listed = Design.enumerated(d.frame, list(d.enumerate()))
     for members in (None, frozenset()):
         nameless = MotifSet([Motif("m", members)])
         with pytest.raises(DesignError, match="no member set"):
-            induced_ht_evaluator(nameless, d)
+            induced_ht_moments(nameless, listed)
         with pytest.raises(DesignError, match="no member set"):
             induced_ht_moments(nameless, d)
 
@@ -463,7 +543,7 @@ def test_inclusion_probabilities_refuse_units_outside_the_frame():
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
             d.inclusion(["a", "x"], fully_selected=True)
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
-            d.pair_ratio()(frozenset("a"), frozenset("x"))
+            d.pair_ratio(("a", "x"))(frozenset([0]), frozenset([1]))
         # Under SRSWOR this was once priced as C(3-2, 0) / C(3, 2) = 1/3.
         with pytest.raises(ValueError, match=r"units outside frame: \['x', 'y'\]"):
             d.inclusion(frozenset("xy"), fully_selected=True)

@@ -19,7 +19,8 @@ def test_every_exported_name_imports():
 def test_removed_aliases_are_not_exported():
     for name in ("enumerate_design", "exclusion_probability", "modified_ht_acs",
                  "snowball_observation_distance", "sample_evaluator", "induced_inclusion",
-                 "hypernode_transform", "HypernodeGraph"):
+                 "hypernode_transform", "HypernodeGraph", "second_order_inclusion",
+                 "induced_ht_evaluator"):
         assert name not in bigs.__all__
         assert not hasattr(bigs, name)
     for name in ("exclusion", "unit_inclusion", "pair_inclusion"):
