@@ -90,7 +90,8 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 def load_config(path: str) -> dict:
     """The config file's keys, null ones left unset; every other value must
     have its field's JSON type: a list of strings, an integer, true or
-    false for ``count``, and a string for every other field."""
+    false for ``count``, a number or a string for ``threshold`` and a
+    string for every other field."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -111,6 +112,8 @@ def load_config(path: str) -> dict:
             want, ok = "an integer", type(value) is int
         elif key == "count":
             want, ok = "true or false", type(value) is bool
+        elif key == "threshold":
+            want, ok = "a number or a string", type(value) in (int, float, str)
         else:
             want, ok = "a string", type(value) is str
         if not ok:

@@ -155,21 +155,21 @@ class Design:
 
         return ratio
 
-    def pair_ratio(self, frame: tuple[str, ...]
-                   ) -> Callable[[frozenset[int], frozenset[int]], Fraction]:
-        """(A, B) -> π_AB / (π_A π_B) for two sets of positions in ``frame``,
-        where π_A is the probability that the sample meets A and π_AB that
-        it meets both sets.
+    def _pair_ratio(self, frame: tuple[str, ...]
+                    ) -> Callable[[frozenset[int], frozenset[int], int], Fraction]:
+        """(A, B, |A ∩ B|) -> π_AB / (π_A π_B) for two sets of positions in
+        ``frame``, where π_A is the probability that the sample meets A and
+        π_AB that it meets both sets.
 
         Under SRSWOR, when the whole frame lies in the design's, the ratio
         is priced once per size triple (|A|, |B|, |A ∪ B|); otherwise each
         set is priced once, as ``inclusion`` prices it."""
         if self.kind == SRSWOR and self._frame_set.issuperset(frame):
             sized = self.size_ratio()
-            return lambda A, B: sized(len(A), len(B), len(A | B))
+            return lambda A, B, shared: sized(len(A), len(B), len(A) + len(B) - shared)
         pi = cache(self._pricer(frame))
 
-        def ratio(A: frozenset[int], B: frozenset[int]) -> Fraction:
+        def ratio(A: frozenset[int], B: frozenset[int], shared: int) -> Fraction:
             pi_a, pi_b = pi(A), pi(B)
             return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
 
@@ -241,7 +241,7 @@ class Design:
 
 def first_order_inclusion(design: Design, big, key: str) -> Fraction:
     """Probability that the motif is observed under the design and BIG."""
-    return design._pricer(big.frame)(big._ancestry(key))
+    return design.inclusion([big.frame[p] for p in big._ancestry(key)])
 
 
 @dataclass(frozen=True)

@@ -663,33 +663,34 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
     row = _weight_rows(big, weights)
     rows = [row(key) for key in keys]
     sets = [frozenset(positions) for positions in big._beta.values()]
-    ratio = design.pair_ratio(big.frame)
+    ratio = design._pair_ratio(big.frame)
     if design.kind == SRSWOR:
         unit_ratio = design.size_ratio()
         same = unit_ratio(1, 1, 1)
         apart = unit_ratio(1, 1, 2) if len(design.frame) > 1 else Fraction(0)
 
-        def unit_sum(a: int, b: int) -> Fraction:
-            # Every row of ω sums to one, so the off-diagonal part is `apart`.
-            shared = sets[a] & sets[b]
+        def unit_sum(a: int, b: int, shared: frozenset[int]) -> Fraction:
+            # Every row of ω sums to one, so the off-diagonal part is `apart`;
+            # a custom row may leave some shared ancestors out.
             if not shared:
                 return apart
             row_a, row_b = rows[a], rows[b]
-            return apart + (same - apart) * _dot((row_a[p], row_b[p]) for p in shared)
+            return apart + (same - apart) * _dot((row_a[p], row_b[p]) for p in shared
+                                                 if p in row_a and p in row_b)
     else:
         unit = [frozenset((p,)) for p in range(len(big.frame))]
 
-        def unit_sum(a: int, b: int) -> Fraction:
-            return sum((ratio(unit[i], unit[j]) * w_i * w_j
+        def unit_sum(a: int, b: int, shared: frozenset[int]) -> Fraction:
+            return sum((ratio(unit[i], unit[j], i == j) * w_i * w_j
                         for i, w_i in rows[a].items() for j, w_j in rows[b].items()),
                        Fraction(0))
 
     entries: dict[tuple[str, str], Fraction] = {}
     for a, k in enumerate(keys):
         for b in range(a, len(keys)):
-            l = keys[b]
-            value = unit_sum(a, b)
-            motifs = ratio(sets[a], sets[b])
+            l, shared = keys[b], sets[a] & sets[b]
+            value = unit_sum(a, b, shared)
+            motifs = ratio(sets[a], sets[b], len(shared))
             if motifs == 0:
                 raise DesignError(
                     f"motifs {k!r} and {l!r} have zero joint inclusion probability")

@@ -376,6 +376,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("replicates", 10.5, "an integer"),
     ("seed", True, "an integer"),
     ("scale", 1, "a string"),
+    ("threshold", True, "a number or a string"),
+    ("threshold", 5, None),
+    ("threshold", 2.5, None),
     ("n", None, None),
     ("estimators", None, None),
 ])

@@ -356,6 +356,10 @@ def test_delta_matrix_matches_the_counting_oracle():
         table = {(u, k): Fraction(rng.randint(1, 4)) for k, anc in beta.items() for u in anc}
         custom = {k: {u: table[u, k] / sum(table[v, k] for v in anc) for u in anc}
                   for k, anc in beta.items()}
+        # A custom table may leave ancestors out of a row.
+        sparse = {k: dict.fromkeys(part, Fraction(1, len(part)))
+                  for k, anc in beta.items()
+                  for part in [rng.sample(sorted(anc), rng.randint(1, len(anc)))]}
         schemes = [
             (WeightScheme.equal_share(),
              {k: {u: Fraction(1, len(anc)) for u in anc} for k, anc in beta.items()}),
@@ -364,6 +368,8 @@ def test_delta_matrix_matches_the_counting_oracle():
                   for u in anc} for k, anc in beta.items()}),
             (WeightScheme.custom({(u, k): w for k, row in custom.items()
                                   for u, w in row.items()}), custom),
+            (WeightScheme.custom({(u, k): w for k, row in sparse.items()
+                                  for u, w in row.items()}), sparse),
         ]
         for design, support in ((srs, list(srs.enumerate())),
                                 (Design.enumerated(frame, points), points)):
@@ -543,7 +549,7 @@ def test_inclusion_probabilities_refuse_units_outside_the_frame():
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
             d.inclusion(["a", "x"], fully_selected=True)
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
-            d.pair_ratio(("a", "x"))(frozenset([0]), frozenset([1]))
+            d._pair_ratio(("a", "x"))(frozenset([0]), frozenset([1]), 0)
         # Under SRSWOR this was once priced as C(3-2, 0) / C(3, 2) = 1/3.
         with pytest.raises(ValueError, match=r"units outside frame: \['x', 'y'\]"):
             d.inclusion(frozenset("xy"), fully_selected=True)
