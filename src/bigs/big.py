@@ -16,8 +16,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Mapping
 
-from .design import to_fraction
-from .errors import InfeasibleError, ParseError, exact, records
+from .errors import InfeasibleError, ParseError, exact, records, to_fraction
 from .graph import Graph, INFINITE, connected_components
 from .motifs import (Motif, MotifSet, _member_distances, _member_indices,
                      _observation_diameter)
@@ -506,7 +505,7 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
     violations: list[str] = []
     checks = len(big.motifs)
     if design is not None:
-        covered = frozenset(design.frame)
+        covered = design._frame_set
         for u in big.frame:
             checks += 1
             if u not in covered:

@@ -22,19 +22,12 @@ from functools import cache
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator
 
-from .errors import DesignError, EnumerationCapError, ParseError, exact, records
+from .errors import DesignError, EnumerationCapError, ParseError, exact, records, to_fraction
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 SRSWOR = "srswor"
 ENUMERATED = "enumerated"
-
-
-def to_fraction(value) -> Fraction:
-    """Exact value of a number or numeric string; floats by their shortest repr."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return value if type(value) is Fraction else Fraction(value)
 
 
 class Design:
@@ -131,12 +124,22 @@ class Design:
         return got
 
     def _pricer(self, frame: tuple[str, ...], fully_selected: bool = False
-                ) -> Callable[[Iterable[int]], Fraction]:
-        """Positions in ``frame`` -> ``inclusion`` of those units: by their
-        count under SRSWOR when the whole frame lies in the design's."""
-        if self.kind == SRSWOR and self._frame_set.issuperset(frame):
-            return lambda positions: self._sized(len(positions), fully_selected)
-        return lambda positions: self.inclusion([frame[p] for p in positions], fully_selected)
+                ) -> tuple[Callable[[Iterable[int]], Fraction],
+                           Callable[[int, int, int], Fraction] | None]:
+        """(price, by_size) for rows hit through sets of positions in ``frame``.
+
+        ``price`` maps positions to the ``inclusion`` of their units, and
+        ``by_size`` is ``size_ratio(fully_selected)`` under SRSWOR, None for
+        a listed design. Units of the design's frame that ``frame`` lacks
+        observe nothing; a unit of ``frame`` outside the design's frame is
+        refused before anything is priced."""
+        if not self._frame_set.issuperset(frame):
+            raise ValueError(f"units outside frame: {sorted(set(frame) - self._frame_set)}")
+        if self.kind == SRSWOR:
+            return (lambda positions: self._sized(len(positions), fully_selected),
+                    self.size_ratio(fully_selected))
+        return (lambda positions: self.inclusion([frame[p] for p in positions], fully_selected),
+                None)
 
     def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
         """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR, for rows k, l hit
@@ -152,26 +155,6 @@ class Design:
             hit_a, hit_b, hit_u = (self._hits(m, fully_selected) for m in (a, b, u))
             both = hit_u if fully_selected else hit_a + hit_b - hit_u
             return Fraction(self._samples * both, hit_a * hit_b)
-
-        return ratio
-
-    def _pair_ratio(self, frame: tuple[str, ...]
-                    ) -> Callable[[frozenset[int], frozenset[int], int], Fraction]:
-        """(A, B, |A ∩ B|) -> π_AB / (π_A π_B) for two sets of positions in
-        ``frame``, where π_A is the probability that the sample meets A and
-        π_AB that it meets both sets.
-
-        Under SRSWOR, when the whole frame lies in the design's, the ratio
-        is priced once per size triple (|A|, |B|, |A ∪ B|); otherwise each
-        set is priced once, as ``inclusion`` prices it."""
-        if self.kind == SRSWOR and self._frame_set.issuperset(frame):
-            sized = self.size_ratio()
-            return lambda A, B, shared: sized(len(A), len(B), len(A) + len(B) - shared)
-        pi = cache(self._pricer(frame))
-
-        def ratio(A: frozenset[int], B: frozenset[int], shared: int) -> Fraction:
-            pi_a, pi_b = pi(A), pi(B)
-            return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
 
         return ratio
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the line reader of its
-text formats."""
+"""Exception types shared across the package, the line reader of its
+text formats, and the one exact numeric coercion."""
 
 from fractions import Fraction
 
@@ -32,14 +32,25 @@ def records(source):
             yield lineno, tokens
 
 
+def to_fraction(value) -> Fraction:
+    """Exact value of a number or numeric string; floats by their shortest
+    repr. Plain ASCII integer strings, signed or not, are read by ``int``;
+    every other value by ``Fraction``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        return Fraction(str(value))
+    if type(value) is str and value.isascii() and (
+            value[1:] if value[:1] in "+-" else value).isdigit():
+        return Fraction(int(value))
+    return Fraction(value)
+
+
 def exact(token: str, what: str, line: int) -> Fraction:
-    """The exact value of a numeric token (integer, fraction or decimal);
-    ParseError ``bad {what}`` at ``line`` otherwise. Plain ASCII integers,
-    signed or not, are read by ``int``; every other token by ``Fraction``."""
+    """``to_fraction`` of a numeric token (integer, fraction or decimal);
+    ParseError ``bad {what}`` at ``line`` otherwise."""
     try:
-        if token.isascii() and (token[1:] if token[:1] in "+-" else token).isdigit():
-            return Fraction(int(token))
-        return Fraction(token)
+        return to_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad {what} {token!r}", line=line) from None
 

@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Mapping
 
 from . import design as _design
 from .big import AncestorRule, Big
-from .design import Design, SampleBig, SRSWOR, to_fraction
-from .errors import DesignError, EnumerationCapError, WeightError
+from .design import Design, SampleBig, SRSWOR
+from .errors import DesignError, EnumerationCapError, WeightError, to_fraction
 from .motifs import MotifSet
 
 TOTAL = "total"
@@ -249,12 +249,6 @@ def _eligibility_big(big: Big) -> Big:
     return Big._of(big.frame, big._pos, big.motifs, beta, big.rule, acs=big.acs)
 
 
-def _observed(big: Big, seeds: Iterable[str]) -> frozenset[int]:
-    """The indices of the motifs of ``big`` that an initial sample observes."""
-    alpha = big._successor_indices()
-    return frozenset().union(*(alpha[big._position(u)] for u in seeds))
-
-
 class _Plan:
     """One estimator compiled against a design and a Big.
 
@@ -269,7 +263,9 @@ class _Plan:
 
     Rows are numbered: ``labels[r]`` names row r, ``hit_by[r]`` holds the
     frame positions that hit it, and ``select[p]`` the rows that the unit
-    at position p hits.
+    at position p hits. Every price, and the choice of a closed form, comes
+    from the design's pricer; the maps that walks and draws read cover the
+    design's frame, where a unit the Big does not hold hits no row.
     """
 
     def __init__(self, design: Design, big: Big, spec: EstimatorSpec,
@@ -294,7 +290,7 @@ class _Plan:
             self.select = terms._successor_indices()
             self.hit_by = list(terms._beta.values())
             self.value = lambda j: y(keys[j])
-        self._price = design._pricer(frame, fully_selected)
+        self._price, self._by_size = design._pricer(frame, fully_selected)
 
     def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""
@@ -340,8 +336,9 @@ class _Plan:
                 def numerator(seeds: Iterable[str]) -> int:
                     return sum(scaled.get(row, 0) for row in self._hits(seeds))
             else:
-                index = {unit: tuple(row for row in self.select[p] if row in scaled)
-                         for p, unit in enumerate(self.big.frame)}
+                index = dict.fromkeys(self.design.frame, ())
+                index.update((unit, tuple(row for row in self.select[p] if row in scaled))
+                             for p, unit in enumerate(self.big.frame))
 
                 def numerator(seeds: Iterable[str]) -> int:
                     hit = set()
@@ -352,6 +349,12 @@ class _Plan:
             self._numerator = numerator, common
         return self._numerator
 
+    def _observer(self) -> Callable[[Iterable[str]], frozenset[int]]:
+        """Seeds -> the indices of the Big's motifs that they observe."""
+        observes = dict.fromkeys(self.design.frame, ())
+        observes.update(zip(self.big.frame, self.big._successor_indices()))
+        return lambda seeds: frozenset().union(*map(observes.__getitem__, seeds))
+
     def _group_table(self, cap: int | None) -> tuple[int, int, dict[frozenset[int], list[int]]]:
         """(D, c, table): observed motif set -> [Σ w·x, Σ w] over the design
         support, from one walk made on first use. A support point has
@@ -359,9 +362,10 @@ class _Plan:
         if self._groups is None:
             numerator, common = self._scaled()
             weight, walk = self.design._walk(cap)
+            observed = self._observer()
             table: dict[frozenset[int], list[int]] = defaultdict(lambda: [0, 0])
             for seeds, w in walk:
-                group = table[_observed(self.big, seeds)]
+                group = table[observed(seeds)]
                 group[0] += w * numerator(seeds)
                 group[1] += w
             self._groups = weight, common, table
@@ -376,19 +380,19 @@ class _Plan:
         correctly rounded as float(Fraction) is, so both give the same float."""
         if self.spec.rao_blackwell:
             _, common, table = self._group_table(cap)
-            means = {observed: divide(num, den * common) for observed, (num, den) in table.items()}
-            return lambda seeds: means[_observed(self.big, seeds)]
+            means = {motifs: divide(num, den * common) for motifs, (num, den) in table.items()}
+            observed = self._observer()
+            return lambda seeds: means[observed(seeds)]
         numerator, common = self._scaled()
         return lambda seeds: divide(numerator(seeds), common)
 
     def moments(self, cap: int | None) -> tuple[Fraction, Fraction] | None:
         """(E[x], E[x²]) without a walk of their own, or None when only a walk
         gives them: the group table holds them for a Rao-Blackwellized spec,
-        as Σ num and Σ num²/den, and under SRSWOR the pair probabilities do.
-        HT is a function of the observed motif set, so under SRSWOR rb:ht
-        takes the HT closed form."""
-        if self.spec.rao_blackwell and not (self.spec.kind == HT
-                                            and self.design.kind == SRSWOR):
+        as Σ num and Σ num²/den, and a design that prices pairs by set
+        sizes gives the pair probabilities. HT is a function of the observed
+        motif set, so rb:ht then takes the HT closed form."""
+        if self.spec.rao_blackwell and (self.spec.kind != HT or self._by_size is None):
             weight, common, table = self._group_table(cap)
             first = sum(num for num, _ in table.values())
             # Groups of equal total weight share a denominator: one Fraction each.
@@ -397,11 +401,10 @@ class _Plan:
                 squares[den] += num * num
             second = sum((Fraction(s, den) for den, s in squares.items()), Fraction(0))
             return Fraction(first, weight * common), second / (weight * common * common)
-        if self.design.kind != SRSWOR:
+        if self._by_size is None:
             return None
         values = [self.value(row) for row in range(len(self.labels))]
-        second = _srswor_pair_sum(self.design, self.hit_by, values,
-                                  fully_selected=self.fully_selected)
+        second = _srswor_pair_sum(self._by_size, self.hit_by, values)
         return sum(values, Fraction(0)) / self.div, second / (self.div * self.div)
 
     def conditioned(self, observed: SampleBig, cap: int | None = None) -> EstimatorReport:
@@ -410,8 +413,9 @@ class _Plan:
         _, walk = self.design._walk(cap)
         index = {key: j for j, key in enumerate(self.big._keys)}
         target = frozenset(map(index.get, observed.motifs))
+        observes = self._observer()
         points = [(seeds, w, numerator(seeds)) for seeds, w in walk
-                  if _observed(self.big, seeds) == target]
+                  if observes(seeds) == target]
         den = sum(w for _, w, _ in points)
         if den == 0:
             raise DesignError("no initial sample realizes the observed motif set")
@@ -468,19 +472,18 @@ class MomentSummary:
         return self.expectation - self.target
 
 
-def _srswor_pair_sum(design: Design, sets: list[tuple[int, ...]], values: list[Fraction],
-                     fully_selected: bool = False) -> Fraction:
+def _srswor_pair_sum(ratio: Callable[[int, int, int], Fraction], sets: list[tuple[int, ...]],
+                     values: list[Fraction]) -> Fraction:
     """Σ_k Σ_l y_k y_l π_(kl) / (π_(k) π_(l)) under an SRSWOR design.
 
-    Row k enters when the sample meets the unit set A_k, given as the
-    sorted tuple of its frame positions, or, with ``fully_selected``, when
-    it contains all of A_k. Either way π_(k) and
-    π_(kl) depend only on |A_k|, |A_l| and |A_k ∪ A_l|, so the products
-    y_k y_l are first summed into those groups, as integers over the lcm
-    of the y denominators: disjoint pairs in bulk from per-size totals,
-    overlapping pairs (k = l among them) moved to their own group through
-    an index from each unit to the sets already seen, with union sizes
-    from bit masks over the positions. Each group then costs one ratio.
+    Row k is hit through the unit set A_k, given as the sorted tuple of its
+    frame positions, and ``ratio`` is the design's ``size_ratio`` for the
+    hit rule: π_(k) and π_(kl) depend only on |A_k|, |A_l| and |A_k ∪ A_l|,
+    so the products y_k y_l are first summed into those groups, as integers
+    over the lcm of the y denominators: disjoint pairs in bulk from per-size
+    totals, overlapping pairs (k = l among them) moved to their own group
+    through an index from each unit to the sets already seen, with union
+    sizes from bit masks over the positions. Each group then costs one ratio.
     """
     merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     for units, y in zip(sets, values):
@@ -519,7 +522,6 @@ def _srswor_pair_sum(design: Design, sets: list[tuple[int, ...]], values: list[F
                 groups[a, b, a + b] += (total_a * total_b * (1 if a == b else 2)
                                         - met.get((a, b), 0))
 
-    ratio = design.size_ratio(fully_selected)
     total = sum((g * ratio(a, b, u) for (a, b, u), g in groups.items() if g), Fraction(0))
     return total / (scale * scale)
 
@@ -663,11 +665,13 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
     row = _weight_rows(big, weights)
     rows = [row(key) for key in keys]
     sets = [frozenset(positions) for positions in big._beta.values()]
-    ratio = design._pair_ratio(big.frame)
-    if design.kind == SRSWOR:
-        unit_ratio = design.size_ratio()
-        same = unit_ratio(1, 1, 1)
-        apart = unit_ratio(1, 1, 2) if len(design.frame) > 1 else Fraction(0)
+    price, by_size = design._pricer(big.frame)
+    if by_size is not None:
+        same = by_size(1, 1, 1)
+        apart = by_size(1, 1, 2) if len(design.frame) > 1 else Fraction(0)
+
+        def ratio(A: frozenset[int], B: frozenset[int], shared: int) -> Fraction:
+            return by_size(len(A), len(B), len(A) + len(B) - shared)
 
         def unit_sum(a: int, b: int, shared: frozenset[int]) -> Fraction:
             # Every row of ω sums to one, so the off-diagonal part is `apart`;
@@ -678,7 +682,12 @@ def delta_matrix(big: Big, design: Design, weights: WeightScheme) -> DeltaMatrix
             return apart + (same - apart) * _dot((row_a[p], row_b[p]) for p in shared
                                                  if p in row_a and p in row_b)
     else:
+        pi = functools.cache(price)
         unit = [frozenset((p,)) for p in range(len(big.frame))]
+
+        def ratio(A: frozenset[int], B: frozenset[int], shared: int) -> Fraction:
+            pi_a, pi_b = pi(A), pi(B)
+            return (pi_a + pi_b - pi(A | B)) / (pi_a * pi_b)
 
         def unit_sum(a: int, b: int, shared: frozenset[int]) -> Fraction:
             return sum((ratio(unit[i], unit[j], i == j) * w_i * w_j

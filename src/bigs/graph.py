@@ -22,10 +22,11 @@ class Graph:
 
     Undirected by default. A directed graph stores each arc once;
     ``neighbors`` follows out-edges and ``incident`` ignores direction.
-    Self-loops and duplicate edges are rejected.
+    Self-loops and duplicate edges are rejected. ``_adj`` holds the
+    neighbours that ignore direction: ``_out`` itself when undirected.
     """
 
-    __slots__ = ("labels", "directed", "_index", "_out", "_in")
+    __slots__ = ("labels", "directed", "_index", "_out", "_adj")
 
     def __init__(self, nodes: Iterable[str] = (), edges: Iterable[tuple[str, str]] = (),
                  directed: bool = False):
@@ -51,7 +52,8 @@ class Graph:
 
         n = len(order)
         out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
+        # An undirected edge is an arc each way, so its reverse goes to ``out``.
+        back = [set() for _ in range(n)] if directed else out
         seen: set[tuple[int, int]] = set()
         for iu, iv in pairs:
             key = (iu, iv) if directed else (min(iu, iv), max(iu, iv))
@@ -59,16 +61,13 @@ class Graph:
                 raise ValueError(f"duplicate edge {order[iu]!r} {order[iv]!r}")
             seen.add(key)
             out[iu].add(iv)
-            inn[iv].add(iu)
-            if not directed:
-                out[iv].add(iu)
-                inn[iu].add(iv)
+            back[iv].add(iu)
 
         self.labels: tuple[str, ...] = tuple(order)
         self.directed = directed
         self._index = index
-        self._out = tuple(frozenset(s) for s in out)
-        self._in = tuple(frozenset(s) for s in inn)
+        self._out = tuple(map(frozenset, out))
+        self._adj = tuple(map(frozenset, map(set.union, out, back))) if directed else self._out
 
     @property
     def n_nodes(self) -> int:
@@ -95,7 +94,7 @@ class Graph:
     def incident(self, label: str) -> frozenset[str]:
         """Neighbors ignoring edge direction."""
         i = self.index_of(label)
-        return frozenset(self.labels[j] for j in self._out[i] | self._in[i])
+        return frozenset(self.labels[j] for j in self._adj[i])
 
     def has_edge(self, u: str, v: str) -> bool:
         return self.index_of(v) in self._out[self.index_of(u)]
@@ -117,18 +116,17 @@ class Graph:
         """
         dist = dict.fromkeys(sources, 0)
         pending = None if targets is None else set(targets).difference(dist)
-        adjacency = (self._out, self._in) if self.directed else (self._out,)
+        adj = self._adj
         frontier = list(dist)
         level = 0
         while frontier and (depth is None or level < depth) and (pending is None or pending):
             level += 1
             reached = []
             for u in frontier:
-                for adj in adjacency:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = level
-                            reached.append(v)
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = level
+                        reached.append(v)
             if pending is not None:
                 pending.difference_update(reached)
             frontier = reached
@@ -138,8 +136,9 @@ class Graph:
         """The graph with every arc made reciprocal; self if undirected."""
         if not self.directed:
             return self
-        sym = {(min(i, j), max(i, j)) for i, nbrs in enumerate(self._out) for j in nbrs}
-        return Graph(self.labels, [(self.labels[i], self.labels[j]) for i, j in sorted(sym)])
+        labels = self.labels
+        return Graph(labels, [(labels[i], labels[j]) for i, nbrs in enumerate(self._adj)
+                              for j in sorted(nbrs) if i < j])
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import design
-from .design import to_fraction
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, to_fraction
 from .graph import Graph, INFINITE, connected_components
 
 # name -> (order, sorted degree sequence). Each pattern is the unique graph
@@ -148,13 +147,12 @@ def enumerate_motifs(g: Graph, motif_class: MotifClass, y: Mapping[str, object] 
     EnumerationCapError. The component class returns whole weakly connected
     components with at most max_order nodes.
     """
-    sym = g.undirected_view()
     if motif_class.is_component:
-        found = [comp for comp in connected_components(sym) if len(comp) <= motif_class.max_order]
+        found = [comp for comp in connected_components(g) if len(comp) <= motif_class.max_order]
     else:
-        labels = sym.labels
+        labels = g.labels
         found = [frozenset(labels[i] for i in hit)
-                 for hit in sorted(_pattern_hits(sym._out, motif_class))]
+                 for hit in sorted(_pattern_hits(g._adj, motif_class))]
     tag = motif_class.label
     motifs = [Motif(f"{tag}-{i}", members, motif_class) for i, members in enumerate(found)]
     return MotifSet(motifs, y)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .design import to_fraction
+from .errors import to_fraction
 from .graph import Graph
 
 INCIDENT = "incident"
@@ -67,7 +67,7 @@ def snowball_sample(g: Graph, seeds: Iterable[str], stages: int) -> SampleGraph:
         for j in g._out[i]:
             edges.add((labels[i], labels[j]) if g.directed or i < j else (labels[j], labels[i]))
         if g.directed:
-            edges.update((labels[j], labels[i]) for j in g._in[i])
+            edges.update((labels[j], labels[i]) for j in g._adj[i] if i in g._out[j])
     # Every node within T stages is the endpoint of an edge to a resolved
     # node, so the observed nodes are exactly the ball.
     waves = {labels[i]: wave for i, wave in ball.items()}

@@ -13,7 +13,7 @@ from bigs import (AncestorRule, Big, Design, EstimatorSpec, Graph, INFINITE,
                   estimate, exact_moments, first_order_inclusion, induced_ht_moments,
                   load_big, monte_carlo_moments, realize_sample_big, resolve_weights,
                   snowball_big, srswor_equal_share_delta, thompson1990)
-from bigs.errors import exact
+from bigs.errors import exact, to_fraction
 
 from oracles import (label_set_feasibility, oracle_acs_big, oracle_acs_feasibility,
                      oracle_snowball_big, random_orientation)
@@ -652,14 +652,16 @@ _TOKENS = st.one_of(
 def test_exact_reads_every_token_as_fraction_does(token):
     try:
         want = Fraction(token)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as refused:
+        with pytest.raises(type(refused)):
+            to_fraction(token)
         with pytest.raises(ParseError) as raised:
             exact(token, "y-value", 4)
         assert type(raised.value) is ParseError
         assert str(raised.value) == f"line 4: bad y-value {token!r}"
     else:
-        got = exact(token, "y-value", 4)
-        assert type(got) is Fraction and got == want
+        for got in (exact(token, "y-value", 4), to_fraction(token)):
+            assert type(got) is Fraction and got == want
 
 
 @st.composite

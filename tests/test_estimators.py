@@ -388,13 +388,15 @@ def test_delta_matrix_matches_the_counting_oracle():
 
 
 def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
-    # A Big over a shuffled part of the design's frame prices as the same
-    # Big over the whole frame in the design's order.
-    rng = random.Random(4321)
+    # A Big over a shuffled part of the design's frame prices, estimates and
+    # walks as the same Big over the whole frame in the design's order.
+    rng, draws = random.Random(4321), random.Random(1234)
     units = [f"u{i}" for i in range(1, 7)]
     srs = Design.srswor(units, 3)
     listed = Design.enumerated(units, _weighted_points(rng, units))
     schemes = (WeightScheme.equal_share(), WeightScheme.inverse_alpha())
+    specs = [EstimatorSpec.parse(text) for text in
+             ("ht", "hh:equal-share", "hh:inverse-alpha", "rb:hh:equal-share", "rb:ht")]
     for _ in range(5):
         part = rng.sample(units, 4)
         beta = {f"m{j}": rng.sample(part, rng.randint(1, 4)) for j in range(3)}
@@ -406,11 +408,35 @@ def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
             for key in beta:
                 assert (first_order_inclusion(design, big, key)
                         == first_order_inclusion(design, ordered, key))
+            for spec in specs:
+                assert exact_moments(design, big, spec) == exact_moments(design, ordered, spec)
+                assert (monte_carlo_moments(design, big, spec, 40, seed=7)
+                        == monte_carlo_moments(design, ordered, spec, 40, seed=7))
+            walks = ([], [])
+            assert (enumerate_moments(design, big, specs, samples=walks[0])
+                    == enumerate_moments(design, ordered, specs, samples=walks[1]))
+            assert walks[0] == walks[1]
+            # A Rao-Blackwell report reads only the observed motifs, which a
+            # seed outside the part never adds.
+            point = design.draw(draws)
+            for spec in specs[3:]:
+                assert (estimate(spec, design, big, realize_sample_big(big, point & set(part)))
+                        == estimate(spec, design, ordered, realize_sample_big(ordered, point)))
         assert srswor_equal_share_delta(big, srs) == srswor_equal_share_delta(ordered, srs)
     outside = _make_big(["zz", "u1"], {"m": ["u1", "zz"]}, {"m": 1})
+    seen = realize_sample_big(outside, ["u1"])
     for design in (srs, listed):
         with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
             first_order_inclusion(design, outside, "m")
+        for spec in specs:
+            with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+                exact_moments(design, outside, spec)
+            with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+                enumerate_moments(design, outside, [spec], samples=[])
+            with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+                monte_carlo_moments(design, outside, spec, 10, seed=1)
+            with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
+                estimate(spec, design, outside, seen)
         for scheme in schemes:
             with pytest.raises(ValueError, match=r"units outside frame: \['zz'\]"):
                 delta_matrix(outside, design, scheme)
@@ -549,7 +575,7 @@ def test_inclusion_probabilities_refuse_units_outside_the_frame():
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
             d.inclusion(["a", "x"], fully_selected=True)
         with pytest.raises(ValueError, match=r"units outside frame: \['x'\]"):
-            d._pair_ratio(("a", "x"))(frozenset([0]), frozenset([1]), 0)
+            d._pricer(("a", "x"))
         # Under SRSWOR this was once priced as C(3-2, 0) / C(3, 2) = 1/3.
         with pytest.raises(ValueError, match=r"units outside frame: \['x', 'y'\]"):
             d.inclusion(frozenset("xy"), fully_selected=True)
