@@ -20,7 +20,7 @@ from .errors import InfeasibleError, ParseError, exact, records, to_fraction
 from .graph import Graph, INFINITE, connected_components
 from .motifs import (Motif, MotifSet, _member_distances, _member_indices,
                      _observation_diameter)
-from .sampling import _acs_expand, _acs_values, _check_seeds, _observes, _reach
+from .sampling import _acs_expand, _acs_values, _check_seeds, _observes
 
 FULL = "full"
 MOTIF_ONLY = "motif-only"
@@ -275,11 +275,15 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
                 memo[a] = ball = g._ball([a], radius)
             if rule.kind != MOTIF_ONLY:
                 near[a] = list(islice(ball, bisect_right(list(ball.values()), radius)))
+        # full:T reads no distance, and members in one ball have none to refuse.
+        if rule.kind == FULL and all(map(memo[members[0]].__contains__, members)):
+            checked.append((m, members, None))
+            continue
         try:
-            rows = [sorted(map(memo[a].__getitem__, members)) for a in members]
+            rows = [list(map(memo[a].__getitem__, members)) for a in members]
         except KeyError:
             between = _member_distances(g, members)
-            rows = [sorted(between[a].values()) for a in members]
+            rows = [list(between[a].values()) for a in members]
             if _observation_diameter(rows) == INFINITE:
                 raise InfeasibleError(
                     f"motif {m.key!r} has mutually unreachable member nodes; "
@@ -289,7 +293,7 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         if rule.kind == MOTIF_ONLY:
             checked.append((m, members, _observation_diameter(rows)))
         else:
-            checked.append((m, members, max(row[-1] for row in rows)))
+            checked.append((m, members, max(map(max, rows))))
     if unindexed is not None:
         _member_indices(unindexed, g)
     memo.clear()  # the ancestors need only the nodes within radius
@@ -317,16 +321,20 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         # A unit observes the motif within T >= 1 stages exactly when it
         # lies within T-1 of all members but one, or of a singleton's
         # member: for one or two members, the union of their balls cut at
-        # T-1. Under full:0 only a singleton's own member does.
+        # T-1; for three, the union of their pairwise meets. Under full:0
+        # only a singleton's own member does.
         for m, members, _ in checked:
-            reached = chain.from_iterable(map(near.__getitem__, members))
+            balls = list(map(near.__getitem__, members))
             if stages == 0:
                 anc = members if len(members) == 1 else ()
             elif len(members) <= 2:
-                anc = set(reached)
+                anc = set().union(*balls)
+            elif len(members) == 3:
+                a, b, c = map(set, balls)
+                anc = (a & (b | c)) | (b & c)
             else:
                 need = len(members) - 1
-                anc = [u for u, n in Counter(reached).items() if n >= need]
+                anc = [u for u, n in Counter(chain.from_iterable(balls)).items() if n >= need]
             if not anc:
                 raise InfeasibleError(
                     f"no unit observes motif {m.key!r} within {stages} stages")
@@ -545,18 +553,29 @@ def check_feasibility(big: Big, design=None, graph: Graph | None = None,
             # assumes the analyst knows the observation distances, so only
             # the observation guarantee is verified for it.
             verify_reach = big.rule.kind in (MOTIF_ONLY, MOTIF_PLUS)
-            # Ancestors as graph node indices (None: not a node), which are
-            # their frame positions when the frame is the graph's labels.
-            labels, index = graph.labels, graph._index.get
-            reach = betas if frame == labels else [
-                tuple(map(index, map(frame.__getitem__, beta))) for beta in betas if verify_reach]
+            # Frame units and ancestors as graph node indices, which are their
+            # frame positions when the frame is the graph's labels; the
+            # refusals are those of ``snowball_sample`` from each unit.
+            labels = graph.labels
+            if frame and horizon < 0:
+                raise ValueError("stages must be >= 0")
+            if frame == labels:
+                nodes, reach = range(len(frame)), betas
+            else:
+                nodes = list(map(graph._index.get, frame))
+                if None in nodes:
+                    raise ValueError(
+                        f"seed {frame[nodes.index(None)]!r} is not a node of the graph")
+                reach = [tuple(map(nodes.__getitem__, beta)) for beta in betas if verify_reach]
             members = [m.members for m in big.motifs]
             complete = all(members)
-            for i, found in zip(frame, alpha):
-                # A single seed resolves the ball of radius horizon-1 and
-                # observes the ball of radius horizon; the ball lists its
-                # nodes level by level.
-                _, ball = _reach(graph, [i], horizon)
+            for i, node, found in zip(frame, nodes, alpha):
+                # A unit without successors checks nothing. One seed resolves
+                # the ball of radius horizon-1 and observes that of radius
+                # horizon; the ball lists its nodes level by level.
+                if not found:
+                    continue
+                ball = graph._ball([node], horizon)
                 cut = bisect_right(list(ball.values()), horizon - 1)
                 resolved = set(map(labels.__getitem__, islice(ball, cut)))
                 checks += len(found)

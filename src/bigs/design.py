@@ -243,15 +243,18 @@ class SampleBig:
     out_ancestors: frozenset[str]
 
 
-def realize_sample_big(big, seeds: Iterable[str]) -> SampleBig:
+def realize_sample_big(big, seeds: Iterable[str], design: Design | None = None) -> SampleBig:
+    """The sample BIG of seeds from the Big's frame or, given a ``design``,
+    from the design's frame, where a unit that the Big lacks observes nothing."""
     seeds = frozenset(str(s) for s in seeds)
-    outside = [s for s in seeds if s not in big._pos]
+    known = big._pos if design is None else design._frame_set
+    outside = [s for s in seeds if s not in known]
     if outside:
         raise ValueError(f"seeds outside frame: {sorted(outside)}")
     alpha, keys = big._successor_indices(), big._keys
     observed: set[int] = set()
     edges: set[tuple[str, str]] = set()
-    for i in seeds:
+    for i in seeds.intersection(big._pos):
         found = alpha[big._pos[i]]
         observed.update(found)
         edges.update((i, keys[j]) for j in found)

@@ -217,12 +217,16 @@ class EstimatorReport:
         return float(self.estimate)
 
 
-def _scale_divisor(big: Big, scale: str) -> int:
+def _scale_divisor(design: Design, scale: str) -> int:
+    """The mean is per unit of the design's frame, which may hold units the Big lacks."""
     if scale == TOTAL:
         return 1
     if scale == MEAN_PER_UNIT:
-        return len(big.frame)
+        return len(design.frame)
     raise ValueError(f"unknown scale {scale!r}")
+
+
+_ZERO = Fraction(0)
 
 
 def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
@@ -274,7 +278,7 @@ class _Plan:
         self.big = big
         self.spec = spec
         self.fully_selected = fully_selected
-        self.div = _scale_divisor(big, spec.scale)
+        self.div = _scale_divisor(design, spec.scale)
         self._numerator: tuple[Callable[[Iterable[str]], int], int] | None = None
         self._groups: tuple[int, int, dict[frozenset[int], list[int]]] | None = None
         frame, keys, y = big.frame, big._keys, big.motifs.y
@@ -283,7 +287,8 @@ class _Plan:
             alpha = big._successor_indices()
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
-            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
+            self.value = lambda p: (_dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
+                                    if alpha[p] else _ZERO)
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
@@ -297,8 +302,9 @@ class _Plan:
         return self._price(self.hit_by[row])
 
     def _hits(self, seeds: Iterable[str]) -> set[int]:
-        """The rows that an initial sample hits."""
-        chosen = {self.big._position(u) for u in seeds}
+        """The rows that an initial sample hits; a design unit the Big lacks hits none."""
+        big, frame = self.big, self.design._frame_set
+        chosen = {big._position(u) for u in seeds if u in big._pos or u not in frame}
         return {row for p in chosen for row in self.select[p]
                 if not self.fully_selected or chosen.issuperset(self.hit_by[row])}
 
@@ -616,7 +622,7 @@ def monte_carlo_moments(design: Design, big: Big, spec: EstimatorSpec,
     values = [evaluate(design.draw(rng)) for _ in range(replicates)]
     r = replicates
     mean = math.fsum(values) / r
-    target = float(big.theta() / _scale_divisor(big, spec.scale))
+    target = float(big.theta() / _scale_divisor(design, spec.scale))
     m2 = math.fsum((x - mean) ** 2 for x in values) / r
     m4 = math.fsum((x - mean) ** 4 for x in values) / r
     variance = m2 * r / (r - 1) if r > 1 else 0.0

@@ -201,6 +201,28 @@ def oracle_snowball_big(nodes, edges, members_by_key, kind, t):
     return beta, stages
 
 
+def oracle_snowball_refusal(nodes, edges, members_by_key, kind, t):
+    """The InfeasibleError text of a snowball BIG build, or None when
+    ``oracle_snowball_big`` builds it: first a motif with two members that
+    a third can never reach, in motif order under every rule; then, in
+    motif order, a motif-plus motif split across components or a full
+    motif that no unit observes within t stages."""
+    nodes = first_appearance(nodes, edges)
+    adj = build_adjacency(nodes, edges)
+    for key, members in members_by_key.items():
+        if INF in [observation_stage_oracle(adj, u, members) for u in members]:
+            return (f"motif {key!r} has mutually unreachable member nodes; "
+                    "no snowball sample can observe it from within")
+    dist = all_pairs_shortest(nodes, edges)
+    for key, members in members_by_key.items():
+        if kind == "motif-plus" and INF in [dist[(a, b)] for a in members for b in members]:
+            return (f"motif {key!r} has member nodes in different components; "
+                    f"motif-plus:{t} needs a finite motif diameter")
+        if kind == "full" and all(observation_stage_oracle(adj, u, members) > t for u in nodes):
+            return f"no unit observes motif {key!r} within {t} stages"
+    return None
+
+
 def oracle_snowball_feasibility(nodes, edges, members_by_key, beta, horizon, verify_reach):
     """(violations, checks) of the snowball feasibility check: one check
     per motif, then one per (unit, successor) pair, units in frame order."""

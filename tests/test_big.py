@@ -16,7 +16,7 @@ from bigs import (AncestorRule, Big, Design, EstimatorSpec, Graph, INFINITE,
 from bigs.errors import exact, to_fraction
 
 from oracles import (label_set_feasibility, oracle_acs_big, oracle_acs_feasibility,
-                     oracle_snowball_big, random_orientation)
+                     oracle_snowball_big, oracle_snowball_refusal, random_orientation)
 from test_traversal import RULES
 
 TRIANGLE_TAIL = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
@@ -240,12 +240,26 @@ _FAR = (["a", "b", "c", "d", "e", "f"],
 _HUB = (["c", "x", "y", "z", "v", "w", "u"],
         [("c", "x"), ("c", "y"), ("c", "z"), ("c", "v"), ("v", "w"), ("x", "u"), ("y", "u")], False,
         [frozenset("cxyz")])
+# Three-member motifs on a path with a triangle: a trio's ancestors are the
+# units near two of its members. Then pairs and trios split across
+# components: a split pair is refused by motif-plus only, after a later
+# trio that a third member can never reach is refused by every rule.
+_TRIOS = (["a", "b", "c", "d", "e", "f"],
+          [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("d", "f")], False,
+          [frozenset("bcd"), frozenset("def"), frozenset("ace")])
+_SPLIT = (["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")], False,
+          [frozenset("ab"), frozenset("ac"), frozenset("abc"), frozenset("abd")])
+_APART = (["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")], False,
+          [frozenset("a"), frozenset("ac"), frozenset("cd")])
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @example(_MIXED)
 @example(_FAR)
 @example(_HUB)
+@example(_TRIOS)
+@example(_SPLIT)
+@example(_APART)
 @given(snowball_instances())
 def test_snowball_big_equals_all_pairs_oracle(instance):
     nodes, edges, directed, members = instance
@@ -255,9 +269,12 @@ def test_snowball_big_equals_all_pairs_oracle(instance):
     for text in RULES:
         rule = AncestorRule.parse(text)
         want = oracle_snowball_big(nodes, edges, by_key, rule.kind, rule.t)
+        refusal = oracle_snowball_refusal(nodes, edges, by_key, rule.kind, rule.t)
+        assert (want is None) == (refusal is not None), text
         if want is None:
-            with pytest.raises(InfeasibleError):
+            with pytest.raises(InfeasibleError) as refused:
                 snowball_big(g, motifs, rule)
+            assert str(refused.value) == refusal, text
             continue
         big = snowball_big(g, motifs, rule)
         assert {k: big.ancestors(k) for k in by_key} == want[0], text
@@ -593,6 +610,51 @@ def test_check_feasibility_equals_the_label_set_loops(instance, seed):
         report = check_feasibility(big, graph=g, stages=stages)
         assert (list(report.violations), report.checks) == label_set_feasibility(
             big, *graph, stages=stages)
+        with pytest.raises(ValueError) as refused:
+            check_feasibility(big, graph=g, stages=-rng.randint(1, 3))
+        assert str(refused.value) == "stages must be >= 0"
+    # A frame unit that is not a node of the graph is refused as a seed,
+    # whether it observes a motif or not; a negative horizon comes first.
+    key = rng.choice(motifs.keys())
+    for observes in (False, True):
+        at = rng.randint(0, len(frame))
+        beta = dict(lying, **{key: lying[key] + ["zz"]} if observes else {})
+        big = Big(frame[:at] + ["zz"] + frame[at:], motifs, beta, AncestorRule.motif_only(), 1)
+        assert bool(big.successors("zz")) == observes
+        for stages, text in ((None, "seed 'zz' is not a node of the graph"),
+                             (-1, "stages must be >= 0")):
+            with pytest.raises(ValueError) as refused:
+                check_feasibility(big, graph=g, stages=stages)
+            assert str(refused.value) == text
+
+
+def test_feasibility_searches_one_ball_per_unit_with_successors(monkeypatch):
+    calls = []
+    search = Graph._ball
+
+    def counted(self, sources, depth=None, targets=None):
+        calls.append(self.labels[sources[0]] if len(sources) == 1 else sources)
+        return search(self, sources, depth, targets)
+
+    # Triangles and paths on a graph with a tail and a far pair: the tail and
+    # the pair observe no triangle, and the pair no path either.
+    g = Graph(edges=[("1", "2"), ("2", "3"), ("1", "3"), ("3", "4"), ("4", "5"), ("6", "7")])
+    for motif in ("k3", "p3"):
+        motifs = enumerate_motifs(g, MotifClass(motif))
+        for text in RULES:
+            try:
+                big = snowball_big(g, motifs, AncestorRule.parse(text))
+            except InfeasibleError:
+                continue
+            beta = {key: big.ancestors(key) for key in motifs.keys()}
+            shuffled = Big(big.frame[::-1], motifs, beta, big.rule, big.stages_required)
+            monkeypatch.setattr(Graph, "_ball", counted)
+            for b in (big, shuffled, load_big(dump_big(shuffled))):
+                calls.clear()
+                check_feasibility(b, graph=g, stages=big.stages_required)
+                assert calls == [u for u in b.frame if b.successors(u)], (motif, text)
+                assert len(calls) < len(b.frame), (motif, text)
+            monkeypatch.undo()
 
 
 def test_hot_paths_never_build_label_views(monkeypatch):

@@ -389,13 +389,14 @@ def test_delta_matrix_matches_the_counting_oracle():
 
 def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
     # A Big over a shuffled part of the design's frame prices, estimates and
-    # walks as the same Big over the whole frame in the design's order.
+    # walks as the same Big over the whole frame in the design's order, at
+    # both scales: the mean is per unit of the design's frame.
     rng, draws = random.Random(4321), random.Random(1234)
     units = [f"u{i}" for i in range(1, 7)]
     srs = Design.srswor(units, 3)
     listed = Design.enumerated(units, _weighted_points(rng, units))
     schemes = (WeightScheme.equal_share(), WeightScheme.inverse_alpha())
-    specs = [EstimatorSpec.parse(text) for text in
+    specs = [EstimatorSpec.parse(text, scale) for scale in ("total", "mean") for text in
              ("ht", "hh:equal-share", "hh:inverse-alpha", "rb:hh:equal-share", "rb:ht")]
     for _ in range(5):
         part = rng.sample(units, 4)
@@ -416,13 +417,24 @@ def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
             assert (enumerate_moments(design, big, specs, samples=walks[0])
                     == enumerate_moments(design, ordered, specs, samples=walks[1]))
             assert walks[0] == walks[1]
-            # A Rao-Blackwell report reads only the observed motifs, which a
-            # seed outside the part never adds.
+            # A seed outside the part observes nothing and hits no row. HH
+            # rows follow the frame order, and the twin adds a zero-share
+            # row for each seed outside the part.
             point = design.draw(draws)
-            for spec in specs[3:]:
-                assert (estimate(spec, design, big, realize_sample_big(big, point & set(part)))
-                        == estimate(spec, design, ordered, realize_sample_big(ordered, point)))
+            seen = realize_sample_big(big, point, design)
+            assert seen == realize_sample_big(ordered, point)
+            for spec in specs:
+                got, want = estimate(spec, design, big, seen), estimate(spec, design, ordered, seen)
+                if spec.kind == "hh" and not spec.rao_blackwell:
+                    got, want = ((r.estimate, sorted(row for row in r.contributions
+                                                     if row[0] in part)) for r in (got, want))
+                assert got == want, spec
         assert srswor_equal_share_delta(big, srs) == srswor_equal_share_delta(ordered, srs)
+        # Without the design only the Big's own units are seeds.
+        with pytest.raises(ValueError, match=r"^seeds outside frame: \['u\d'\]$"):
+            realize_sample_big(big, [part[0], next(u for u in units if u not in part)])
+    with pytest.raises(ValueError, match=r"^seeds outside frame: \['zz'\]$"):
+        realize_sample_big(big, ["u1", "zz"], srs)
     outside = _make_big(["zz", "u1"], {"m": ["u1", "zz"]}, {"m": 1})
     seen = realize_sample_big(outside, ["u1"])
     for design in (srs, listed):
