@@ -280,10 +280,10 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
             checked.append((m, members, None))
             continue
         try:
-            rows = [list(map(memo[a].__getitem__, members)) for a in members]
+            rows = [sorted(map(memo[a].__getitem__, members)) for a in members]
         except KeyError:
             between = _member_distances(g, members)
-            rows = [list(between[a].values()) for a in members]
+            rows = [sorted(between[a].values()) for a in members]
             if _observation_diameter(rows) == INFINITE:
                 raise InfeasibleError(
                     f"motif {m.key!r} has mutually unreachable member nodes; "
@@ -293,7 +293,7 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         if rule.kind == MOTIF_ONLY:
             checked.append((m, members, _observation_diameter(rows)))
         else:
-            checked.append((m, members, max(map(max, rows))))
+            checked.append((m, members, max(row[-1] for row in rows)))
     if unindexed is not None:
         _member_indices(unindexed, g)
     memo.clear()  # the ancestors need only the nodes within radius
@@ -321,20 +321,16 @@ def snowball_big(g: Graph, motifs: MotifSet, rule: AncestorRule) -> Big:
         # A unit observes the motif within T >= 1 stages exactly when it
         # lies within T-1 of all members but one, or of a singleton's
         # member: for one or two members, the union of their balls cut at
-        # T-1; for three, the union of their pairwise meets. Under full:0
-        # only a singleton's own member does.
+        # T-1. Under full:0 only a singleton's own member does.
         for m, members, _ in checked:
-            balls = list(map(near.__getitem__, members))
+            reached = chain.from_iterable(map(near.__getitem__, members))
             if stages == 0:
                 anc = members if len(members) == 1 else ()
             elif len(members) <= 2:
-                anc = set().union(*balls)
-            elif len(members) == 3:
-                a, b, c = map(set, balls)
-                anc = (a & (b | c)) | (b & c)
+                anc = set(reached)
             else:
                 need = len(members) - 1
-                anc = [u for u, n in Counter(chain.from_iterable(balls)).items() if n >= need]
+                anc = [u for u, n in Counter(reached).items() if n >= need]
             if not anc:
                 raise InfeasibleError(
                     f"no unit observes motif {m.key!r} within {stages} stages")

@@ -243,18 +243,15 @@ class SampleBig:
     out_ancestors: frozenset[str]
 
 
-def realize_sample_big(big, seeds: Iterable[str], design: Design | None = None) -> SampleBig:
-    """The sample BIG of seeds from the Big's frame or, given a ``design``,
-    from the design's frame, where a unit that the Big lacks observes nothing."""
+def realize_sample_big(big, seeds: Iterable[str]) -> SampleBig:
     seeds = frozenset(str(s) for s in seeds)
-    known = big._pos if design is None else design._frame_set
-    outside = [s for s in seeds if s not in known]
+    outside = [s for s in seeds if s not in big._pos]
     if outside:
         raise ValueError(f"seeds outside frame: {sorted(outside)}")
     alpha, keys = big._successor_indices(), big._keys
     observed: set[int] = set()
     edges: set[tuple[str, str]] = set()
-    for i in seeds.intersection(big._pos):
+    for i in seeds:
         found = alpha[big._pos[i]]
         observed.update(found)
         edges.update((i, keys[j]) for j in found)

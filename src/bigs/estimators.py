@@ -226,9 +226,6 @@ def _scale_divisor(design: Design, scale: str) -> int:
     raise ValueError(f"unknown scale {scale!r}")
 
 
-_ZERO = Fraction(0)
-
-
 def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
     """Σ a·b over pairs of exact numbers: integers over the lcm of the
     products' denominators, made into one Fraction."""
@@ -287,8 +284,7 @@ class _Plan:
             alpha = big._successor_indices()
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
-            self.value = lambda p: (_dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
-                                    if alpha[p] else _ZERO)
+            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
@@ -302,9 +298,8 @@ class _Plan:
         return self._price(self.hit_by[row])
 
     def _hits(self, seeds: Iterable[str]) -> set[int]:
-        """The rows that an initial sample hits; a design unit the Big lacks hits none."""
-        big, frame = self.big, self.design._frame_set
-        chosen = {big._position(u) for u in seeds if u in big._pos or u not in frame}
+        """The rows that an initial sample hits."""
+        chosen = {self.big._position(u) for u in seeds}
         return {row for p in chosen for row in self.select[p]
                 if not self.fully_selected or chosen.issuperset(self.hit_by[row])}
 

@@ -265,31 +265,20 @@ def _observation_stage(node, distance: Mapping):
     if len(distance) == 1:
         ((member, d),) = distance.items()
         return 0 if member == node else d + 1
-    return _second_largest(distance.values()) + 1
-
-
-def _second_largest(values) -> int | float:
-    """The second largest of two or more values, in one pass."""
-    top = second = -1
-    for d in values:
-        if d > top:
-            top, second = d, top
-        elif d > second:
-            second = d
-    return second
+    return sorted(distance.values())[-2] + 1
 
 
 def observation_diameter(motif: Motif, g: Graph):
     """Largest internal observation distance over the motif's members."""
     between = _member_distances(g, _member_indices(motif, g))
-    return _observation_diameter([row.values() for row in between.values()])
+    return _observation_diameter([sorted(row.values()) for row in between.values()])
 
 
 def _observation_diameter(rows) -> int | float:
     """The largest ``_observation_stage`` over a motif's members, from each
-    member's distances to all of them: the second largest distance plus
-    one, or 0 for a singleton."""
-    return max(map(_second_largest, rows)) + 1 if len(rows) > 1 else 0
+    member's sorted distances to all of them: the second largest distance
+    plus one, or 0 for a singleton."""
+    return max(row[-2] for row in rows) + 1 if len(rows) > 1 else 0
 
 
 def ancestor_neighborhood(motif: Motif, g: Graph, t: int) -> frozenset[str]:

@@ -417,24 +417,20 @@ def test_delta_and_inclusion_do_not_depend_on_the_frame_order():
             assert (enumerate_moments(design, big, specs, samples=walks[0])
                     == enumerate_moments(design, ordered, specs, samples=walks[1]))
             assert walks[0] == walks[1]
-            # A seed outside the part observes nothing and hits no row. HH
-            # rows follow the frame order, and the twin adds a zero-share
-            # row for each seed outside the part.
+            # A seed outside the part observes nothing, so the part's Big
+            # estimates from the sample cut to the part. HH rows follow the
+            # frame order, and the twin adds a zero-share row for each cut seed.
             point = design.draw(draws)
-            seen = realize_sample_big(big, point, design)
-            assert seen == realize_sample_big(ordered, point)
+            cut, whole = realize_sample_big(big, point & set(part)), realize_sample_big(ordered, point)
             for spec in specs:
-                got, want = estimate(spec, design, big, seen), estimate(spec, design, ordered, seen)
+                got, want = estimate(spec, design, big, cut), estimate(spec, design, ordered, whole)
                 if spec.kind == "hh" and not spec.rao_blackwell:
                     got, want = ((r.estimate, sorted(row for row in r.contributions
                                                      if row[0] in part)) for r in (got, want))
                 assert got == want, spec
         assert srswor_equal_share_delta(big, srs) == srswor_equal_share_delta(ordered, srs)
-        # Without the design only the Big's own units are seeds.
         with pytest.raises(ValueError, match=r"^seeds outside frame: \['u\d'\]$"):
             realize_sample_big(big, [part[0], next(u for u in units if u not in part)])
-    with pytest.raises(ValueError, match=r"^seeds outside frame: \['zz'\]$"):
-        realize_sample_big(big, ["u1", "zz"], srs)
     outside = _make_big(["zz", "u1"], {"m": ["u1", "zz"]}, {"m": 1})
     seen = realize_sample_big(outside, ["u1"])
     for design in (srs, listed):
