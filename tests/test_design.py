@@ -207,3 +207,48 @@ def test_parse_design_file():
         parse_design_file("1: a a\n", frame=["a"])
     with pytest.raises(ParseError, match="sum"):
         parse_design_file("1/2: a\n", frame=["a"])
+
+
+def test_srswor_and_its_listed_twin_keep_one_contract():
+    for frame, n in (("abc", 1), ("abcd", 2), ("abcde", 3), ("abcde", 5)):
+        d = Design.srswor(frame, n)
+        twin = Design.enumerated(frame, d.enumerate())
+        assert d.size == twin.size == len(twin.points)
+        subsets = [units for m in range(len(frame) + 1)
+                   for units in itertools.combinations(frame, m)]
+        for full in (False, True):
+            assert [d.inclusion(s, full) for s in subsets] == \
+                [twin.inclusion(s, full) for s in subsets]
+            sub = frame[1:]
+            price, by_size = d._pricer(sub, full)
+            twin_price, twin_by_size = twin._pricer(sub, full)
+            assert twin_by_size is None
+            positions = [p for m in range(len(sub) + 1)
+                         for p in itertools.combinations(range(len(sub)), m)]
+            for a in positions:
+                pi_a = twin_price(a)
+                assert price(a) == pi_a == d.inclusion([sub[i] for i in a], full)
+                for b in positions:
+                    pi_b, pi_u = twin_price(b), twin_price(set(a) | set(b))
+                    if pi_a and pi_b:
+                        both = pi_u if full else pi_a + pi_b - pi_u
+                        assert by_size(len(a), len(b), len(set(a) | set(b))) == \
+                            both / (pi_a * pi_b)
+        for point, _ in twin.points:
+            assert d.require_support(point) == twin.require_support(point) == point
+        if n < len(frame):
+            wrong = frame[:n + 1]
+            with pytest.raises(DesignError, match="this SRSWOR design draws samples of size"):
+                d.require_support(wrong)
+            with pytest.raises(DesignError, match="is not a support point"):
+                twin.require_support(wrong)
+        with pytest.raises(DesignError, match="units outside the frame"):
+            d.require_support(["zz"])
+        with pytest.raises(DesignError,
+                           match="pricing by set sizes needs a simple random sampling design"):
+            twin.size_ratio()
+        assert repr(d) == f"<Design SRSWOR N={len(frame)} n={n}>"
+        assert repr(twin) == f"<Design enumerated |support|={d.size}>"
+        assert (d.kind, d.frame, d.n, d.points) == ("srswor", tuple(frame), n, None)
+        assert (twin.kind, twin.frame, twin.n) == ("enumerated", tuple(frame), None)
+        assert twin.points == tuple(d.enumerate())
