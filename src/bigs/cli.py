@@ -322,6 +322,8 @@ class _Resolved:
 
 def _design_for(cfg: ExperimentConfig, frame, fallback: Design | None = None) -> Design | None:
     if cfg.design != "srswor":
+        if cfg.n is not None:
+            raise ValueError(f"--n {cfg.n} conflicts with design file {cfg.design!r}")
         return parse_design_file(_read_text(cfg.design), frame)
     if cfg.n is not None:
         return Design.srswor(frame, cfg.n)

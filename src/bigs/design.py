@@ -1,8 +1,8 @@
 """Initial-sample designs and exact inclusion probabilities.
 
-All probabilities on the exact paths are fractions.Fraction. A design is
-either simple random sampling without replacement (SRSWOR) over a frame,
-or an explicitly enumerated distribution over initial samples.
+All probabilities on the exact paths are fractions.Fraction. Each kind
+of design is one class: simple random sampling without replacement
+(SRSWOR) over a frame, or an explicitly listed distribution over samples.
 
 ``Design`` prices every unit set under one of two hit rules: the sample
 meets the set (a motif is observed when some ancestor is selected), or
@@ -26,79 +26,21 @@ from .errors import DesignError, EnumerationCapError, ParseError, exact, records
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
-SRSWOR = "srswor"
-ENUMERATED = "enumerated"
-
 
 class Design:
-    """A fixed-size-or-listed initial sampling design over a unit frame."""
+    """An initial sampling design over a frame, built by ``Design.srswor`` or
+    ``Design.enumerated``; each kind prices, draws and lists its own support."""
 
-    __slots__ = ("kind", "frame", "n", "points", "_frame_set", "_common", "_weights",
-                 "_cumulative", "_samples", "_by_size")
+    __slots__ = ("frame", "_frame_set", "size")
 
-    def __init__(self, kind, frame, n=None, points=None):
+    def __init__(self, frame: Iterable[str]):
         frame = tuple(str(u) for u in frame)
         if len(set(frame)) != len(frame):
             raise DesignError("frame has duplicate units")
         if not frame:
             raise DesignError("empty frame")
-        self.kind = kind
         self.frame = frame
         self._frame_set = frozenset(frame)
-        self.n = n
-        self.points = points
-        self._cumulative: list[int] | None = None
-        if kind == SRSWOR:
-            if n is None or not 1 <= n <= len(frame):
-                raise DesignError(f"SRSWOR size must be in 1..{len(frame)}")
-            self._samples = comb(len(frame), n)
-            self._by_size: dict[tuple[int, bool], Fraction] = {}
-        elif kind == ENUMERATED:
-            if not points:
-                raise DesignError("enumerated design has no support points")
-            # Each probability as an integer weight over one common denominator.
-            self._common = lcm(*(p.denominator for _, p in points))
-            self._weights = tuple((s, p.numerator * (self._common // p.denominator))
-                                  for s, p in points)
-            total = sum(w for _, w in self._weights)
-            if total != self._common:
-                total = Fraction(total, self._common)
-                raise DesignError(f"support probabilities sum to {total}, not 1")
-            hit = set()
-            for s, p in points:
-                if p <= 0:
-                    raise DesignError("support probabilities must be positive")
-                if not s:
-                    raise DesignError("empty initial sample in support")
-                if not s <= self._frame_set:
-                    raise DesignError(f"support units outside frame: {sorted(s - self._frame_set)}")
-                hit |= s
-            never = self._frame_set - hit
-            if never:
-                raise DesignError(f"units with zero inclusion probability: {sorted(never)}")
-        else:
-            raise DesignError(f"unknown design kind {kind!r}")
-
-    @classmethod
-    def srswor(cls, frame: Iterable[str], n: int) -> "Design":
-        return cls(SRSWOR, frame, n=n)
-
-    @classmethod
-    def enumerated(cls, frame: Iterable[str], points) -> "Design":
-        pts = tuple((frozenset(str(u) for u in s), to_fraction(p)) for s, p in points)
-        return cls(ENUMERATED, frame, points=pts)
-
-    @property
-    def size(self) -> int:
-        """Number of support points."""
-        return self._samples if self.kind == SRSWOR else len(self.points)
-
-    def _hits(self, m: int, fully_selected: bool) -> int:
-        """SRSWOR samples that meet, or with ``fully_selected`` contain, m given units."""
-        N, n = len(self.frame), self.n
-        if fully_selected:
-            return comb(N - m, n - m) if m <= n else 0
-        return self._samples - comb(N - m, n)
 
     def inclusion(self, units: Iterable[str], fully_selected: bool = False) -> Fraction:
         """Probability that the initial sample meets the units or, with
@@ -107,21 +49,7 @@ class Design:
             units = frozenset(map(str, units))
             if not units <= self._frame_set:
                 raise ValueError(f"units outside frame: {sorted(units - self._frame_set)}")
-        if self.kind == SRSWOR:
-            return self._sized(len(units), fully_selected)
-        if fully_selected:
-            hits = sum(w for s, w in self._weights if units <= s)
-        else:
-            hits = sum(w for s, w in self._weights if not units.isdisjoint(s))
-        return Fraction(hits, self._common)
-
-    def _sized(self, m: int, fully_selected: bool) -> Fraction:
-        """SRSWOR ``inclusion`` of any m frame units, priced once per size."""
-        size = m, fully_selected
-        got = self._by_size.get(size)
-        if got is None:
-            got = self._by_size[size] = Fraction(self._hits(m, fully_selected), self._samples)
-        return got
+        return self._price(units, fully_selected)
 
     def _pricer(self, frame: tuple[str, ...], fully_selected: bool = False
                 ) -> tuple[Callable[[Iterable[int]], Fraction],
@@ -129,49 +57,13 @@ class Design:
         """(price, by_size) for rows hit through sets of positions in ``frame``.
 
         ``price`` maps positions to the ``inclusion`` of their units, and
-        ``by_size`` is ``size_ratio(fully_selected)`` under SRSWOR, None for
-        a listed design. Units of the design's frame that ``frame`` lacks
-        observe nothing; a unit of ``frame`` outside the design's frame is
-        refused before anything is priced."""
+        ``by_size`` is ``size_ratio(fully_selected)`` for a kind that prices
+        by set sizes, None for one that does not. Units of the design's
+        frame that ``frame`` lacks observe nothing; a unit of ``frame``
+        outside the design's frame is refused before anything is priced."""
         if not self._frame_set.issuperset(frame):
             raise ValueError(f"units outside frame: {sorted(set(frame) - self._frame_set)}")
-        if self.kind == SRSWOR:
-            return (lambda positions: self._sized(len(positions), fully_selected),
-                    self.size_ratio(fully_selected))
-        return (lambda positions: self.inclusion([frame[p] for p in positions], fully_selected),
-                None)
-
-    def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
-        """(a, b, u) -> π_(kl) / (π_(k) π_(l)) under SRSWOR, for rows k, l hit
-        through unit sets of sizes a and b with a union of u.
-
-        A row is hit under the rule of ``inclusion``; each ratio is priced
-        once from sample counts."""
-        if self.kind != SRSWOR:
-            raise DesignError("pricing by set sizes needs a simple random sampling design")
-
-        @cache
-        def ratio(a: int, b: int, u: int) -> Fraction:
-            hit_a, hit_b, hit_u = (self._hits(m, fully_selected) for m in (a, b, u))
-            both = hit_u if fully_selected else hit_a + hit_b - hit_u
-            return Fraction(self._samples * both, hit_a * hit_b)
-
-        return ratio
-
-    def require_support(self, sample: Iterable[str]) -> frozenset[str]:
-        """The sample as a set; DesignError unless the design can draw it."""
-        sample = frozenset(str(u) for u in sample)
-        if self.kind == SRSWOR:
-            outside = sample - self._frame_set
-            if outside:
-                raise DesignError(f"initial sample has units outside the frame: {sorted(outside)}")
-            if len(sample) != self.n:
-                raise DesignError(f"initial sample has size {len(sample)}; "
-                                  f"this SRSWOR design draws samples of size {self.n}")
-        elif all(sample != point for point, _ in self.points):
-            raise DesignError(f"initial sample {sorted(sample)} is not a support point "
-                              "of the design")
-        return sample
+        return self._position_pricer(frame, fully_selected)
 
     def check_cap(self, cap: int | None = None) -> None:
         """EnumerationCapError when the support has more than ``cap`` points
@@ -186,14 +78,9 @@ class Design:
         """(D, points): the whole support as (initial sample, integer weight w),
         each sample drawn with probability w / D.
 
-        Under SRSWOR every weight is 1 over C(N, n); a listed design gives
-        its probabilities over their least common denominator. Refuses
-        supports larger than ``cap``, as ``check_cap`` does."""
+        Refuses supports larger than ``cap``, as ``check_cap`` does."""
         self.check_cap(cap)
-        if self.kind == SRSWOR:
-            return self._samples, ((frozenset(combo), 1)
-                                   for combo in itertools.combinations(self.frame, self.n))
-        return self._common, self._weights
+        return self._support()
 
     def enumerate(self, cap: int | None = None) -> Iterator[tuple[frozenset[str], Fraction]]:
         """Yield (initial sample, probability) over the whole support.
@@ -203,23 +90,151 @@ class Design:
         for sample, w in points:
             yield sample, Fraction(w, common)
 
-    def draw(self, rng: random.Random) -> frozenset[str]:
-        """One initial sample; deterministic given the generator state.
 
-        A listed design draws exactly: ``rng.randrange(D)`` over the common
-        denominator D of its probabilities, located among the cumulative
-        integer weights."""
-        if self.kind == SRSWOR:
-            return frozenset(rng.sample(self.frame, self.n))
-        if self._cumulative is None:
-            self._cumulative = list(itertools.accumulate(w for _, w in self._weights))
-        r = rng.randrange(self._common)
-        return self._weights[bisect_right(self._cumulative, r)][0]
+class SrsworDesign(Design):
+    """Simple random sampling of ``n`` frame units without replacement."""
+
+    __slots__ = ("n", "_by_size")
+    kind = "srswor"
+    points = None
+
+    def __init__(self, frame: Iterable[str], n: int):
+        super().__init__(frame)
+        if n is None or not 1 <= n <= len(self.frame):
+            raise DesignError(f"SRSWOR size must be in 1..{len(self.frame)}")
+        self.n = n
+        self.size = comb(len(self.frame), n)
+        self._by_size: dict[tuple[int, bool], Fraction] = {}
+
+    def _hits(self, m: int, fully_selected: bool) -> int:
+        """Samples that meet, or with ``fully_selected`` contain, m given units."""
+        N, n = len(self.frame), self.n
+        if fully_selected:
+            return comb(N - m, n - m) if m <= n else 0
+        return self.size - comb(N - m, n)
+
+    def _price(self, members, fully_selected: bool) -> Fraction:
+        """``inclusion`` of any frame units, or of their positions, priced once per size."""
+        size = len(members), fully_selected
+        got = self._by_size.get(size)
+        if got is None:
+            got = self._by_size[size] = Fraction(self._hits(*size), self.size)
+        return got
+
+    def _position_pricer(self, frame, fully_selected):
+        return (lambda positions: self._price(positions, fully_selected),
+                self.size_ratio(fully_selected))
+
+    def size_ratio(self, fully_selected: bool = False) -> Callable[[int, int, int], Fraction]:
+        """(a, b, u) -> π_(kl) / (π_(k) π_(l)), for rows k, l hit through
+        unit sets of sizes a and b with a union of u.
+
+        A row is hit under the rule of ``inclusion``; each ratio is priced
+        once from sample counts."""
+
+        @cache
+        def ratio(a: int, b: int, u: int) -> Fraction:
+            hit_a, hit_b, hit_u = (self._hits(m, fully_selected) for m in (a, b, u))
+            both = hit_u if fully_selected else hit_a + hit_b - hit_u
+            return Fraction(self.size * both, hit_a * hit_b)
+
+        return ratio
+
+    def _support(self):
+        """Every sample at weight 1 over C(N, n)."""
+        return self.size, ((frozenset(combo), 1)
+                           for combo in itertools.combinations(self.frame, self.n))
+
+    def require_support(self, sample: Iterable[str]) -> frozenset[str]:
+        """The sample as a set; DesignError unless the design can draw it."""
+        sample = frozenset(str(u) for u in sample)
+        outside = sample - self._frame_set
+        if outside:
+            raise DesignError(f"initial sample has units outside the frame: {sorted(outside)}")
+        if len(sample) != self.n:
+            raise DesignError(f"initial sample has size {len(sample)}; "
+                              f"this SRSWOR design draws samples of size {self.n}")
+        return sample
+
+    def draw(self, rng: random.Random) -> frozenset[str]:
+        """One initial sample; deterministic given the generator state."""
+        return frozenset(rng.sample(self.frame, self.n))
 
     def __repr__(self) -> str:
-        if self.kind == SRSWOR:
-            return f"<Design SRSWOR N={len(self.frame)} n={self.n}>"
+        return f"<Design SRSWOR N={len(self.frame)} n={self.n}>"
+
+
+class ListedDesign(Design):
+    """An explicitly enumerated distribution over initial samples."""
+
+    __slots__ = ("points", "_common", "_weights", "_cumulative")
+    kind = "enumerated"
+    n = None
+
+    def __init__(self, frame: Iterable[str], points):
+        points = tuple((frozenset(str(u) for u in s), to_fraction(p)) for s, p in points)
+        super().__init__(frame)
+        if not points:
+            raise DesignError("enumerated design has no support points")
+        self.points = points
+        self.size = len(points)
+        # Each probability as an integer weight over one common denominator.
+        self._common = lcm(*(p.denominator for _, p in points))
+        self._weights = tuple((s, p.numerator * (self._common // p.denominator))
+                              for s, p in points)
+        self._cumulative = list(itertools.accumulate(w for _, w in self._weights))
+        if self._cumulative[-1] != self._common:
+            total = Fraction(self._cumulative[-1], self._common)
+            raise DesignError(f"support probabilities sum to {total}, not 1")
+        hit = set()
+        for s, p in points:
+            if p <= 0:
+                raise DesignError("support probabilities must be positive")
+            if not s:
+                raise DesignError("empty initial sample in support")
+            if not s <= self._frame_set:
+                raise DesignError(f"support units outside frame: {sorted(s - self._frame_set)}")
+            hit |= s
+        never = self._frame_set - hit
+        if never:
+            raise DesignError(f"units with zero inclusion probability: {sorted(never)}")
+
+    def _price(self, units: frozenset[str], fully_selected: bool) -> Fraction:
+        if fully_selected:
+            hits = sum(w for s, w in self._weights if units <= s)
+        else:
+            hits = sum(w for s, w in self._weights if not units.isdisjoint(s))
+        return Fraction(hits, self._common)
+
+    def _position_pricer(self, frame, fully_selected):
+        return (lambda positions: self._price(frozenset(map(frame.__getitem__, positions)),
+                                              fully_selected), None)
+
+    def size_ratio(self, fully_selected: bool = False):
+        raise DesignError("pricing by set sizes needs a simple random sampling design")
+
+    def _support(self):
+        """The probabilities as weights over their least common denominator."""
+        return self._common, self._weights
+
+    def require_support(self, sample: Iterable[str]) -> frozenset[str]:
+        """The sample as a set; DesignError unless the design can draw it."""
+        sample = frozenset(str(u) for u in sample)
+        if all(sample != point for point, _ in self.points):
+            raise DesignError(f"initial sample {sorted(sample)} is not a support point "
+                              "of the design")
+        return sample
+
+    def draw(self, rng: random.Random) -> frozenset[str]:
+        """One initial sample, drawn exactly: ``rng.randrange(D)`` over the common
+        denominator D, located among the cumulative integer weights."""
+        return self._weights[bisect_right(self._cumulative, rng.randrange(self._common))][0]
+
+    def __repr__(self) -> str:
         return f"<Design enumerated |support|={len(self.points)}>"
+
+
+Design.srswor, Design.enumerated = SrsworDesign, ListedDesign
 
 
 def first_order_inclusion(design: Design, big, key: str) -> Fraction:

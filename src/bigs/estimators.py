@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import design as _design
 from .big import AncestorRule, Big
-from .design import Design, SampleBig, SRSWOR
+from .design import Design, SampleBig, SrsworDesign
 from .errors import DesignError, EnumerationCapError, WeightError, to_fraction
 from .motifs import MotifSet
 
@@ -718,7 +718,7 @@ def srswor_equal_share_delta(big: Big, design: Design) -> DeltaMatrix:
     - π_(kl)/(π_(k)π_(l)), from the ancestor-set sizes m_k, m_l and their
     overlap m_kl; so this is that matrix. Refuses more than
     ``design.DEFAULT_ENUMERATION_CAP`` entries, as ``delta_matrix`` does."""
-    if design.kind != SRSWOR:
+    if design.kind != SrsworDesign.kind:
         raise DesignError("closed form requires a simple random sampling design")
     if len(design.frame) < 2:
         raise DesignError("closed form needs a frame of at least 2 units")

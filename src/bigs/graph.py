@@ -132,14 +132,6 @@ class Graph:
             frontier = reached
         return dist
 
-    def undirected_view(self) -> "Graph":
-        """The graph with every arc made reciprocal; self if undirected."""
-        if not self.directed:
-            return self
-        labels = self.labels
-        return Graph(labels, [(labels[i], labels[j]) for i, nbrs in enumerate(self._adj)
-                              for j in sorted(nbrs) if i < j])
-
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"<Graph {kind} |U|={self.n_nodes} |A|={self.n_edges}>"

@@ -624,6 +624,20 @@ def test_stage_horizon_flag_conflicts_with_explicit_rule(tmp_path, capsys):
     assert "conflicts" in err
 
 
+def test_size_flag_conflicts_with_design_file(tmp_path, capsys):
+    path = write_graph(tmp_path)
+    design = tmp_path / "design.txt"
+    design.write_text("1/2: 1 2\n1/2: 3 4\n")
+    config = tmp_path / "config.json"
+    config.write_text('{"n": 2}')
+    for extra in (("--n", "2"), ("--config", str(config))):
+        for argv in (("enumerate", path, "--motif", "k2", "--rule", "full:1"),
+                     ("big", "check", path, "--motif", "k2", "--rule", "full:1")):
+            code, out, err = run_cli(capsys, *argv, "--design", str(design), *extra)
+            assert (code, out) == (2, "")
+            assert "--n 2 conflicts with design file" in err
+
+
 def test_full_rule_without_horizon_is_an_error(tmp_path, capsys):
     path = write_graph(tmp_path)
     code, _, err = run_cli(capsys, "sample", path, "--motif", "k3",

@@ -42,10 +42,6 @@ def test_directed_arcs_and_symmetrized_view():
     assert g.neighbors("b") == {"a", "c"}
     assert g.neighbors("c") == frozenset()
     assert g.incident("c") == {"b"}
-    sym = g.undirected_view()
-    assert not sym.directed
-    assert sym.n_edges == 2
-    assert sym.has_edge("c", "b")
 
 
 def test_edges_iterator_is_deterministic():
