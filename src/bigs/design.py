@@ -20,18 +20,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DesignError, EnumerationCapError, ParseError, exact, records, to_fraction
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# A design keeps the last seeded draw stream it made (see ``Design._stream``)
+# while it holds at most this many frame positions, replicates × sample size.
+KEPT_STREAM_CAP = 2 ** 17
 
 
 class Design:
     """An initial sampling design over a frame, built by ``Design.srswor`` or
-    ``Design.enumerated``; each kind prices, draws and lists its own support."""
+    ``Design.enumerated``; each kind prices, draws and lists its own support.
 
-    __slots__ = ("frame", "_frame_set", "size")
+    Inside the package draws and support points are sequences of frame
+    positions; ``draw`` and ``enumerate`` give them as sets of units."""
+
+    __slots__ = ("frame", "_frame_set", "size", "_largest", "_kept")
 
     def __init__(self, frame: Iterable[str]):
         frame = tuple(str(u) for u in frame)
@@ -41,6 +47,7 @@ class Design:
             raise DesignError("empty frame")
         self.frame = frame
         self._frame_set = frozenset(frame)
+        self._kept = None
 
     def inclusion(self, units: Iterable[str], fully_selected: bool = False) -> Fraction:
         """Probability that the initial sample meets the units or, with
@@ -74,9 +81,9 @@ class Design:
                 f"design support has {self.size} points, above the cap of {cap}; "
                 "use Monte Carlo simulation instead")
 
-    def _walk(self, cap: int | None = None) -> tuple[int, Iterable[tuple[frozenset[str], int]]]:
-        """(D, points): the whole support as (initial sample, integer weight w),
-        each sample drawn with probability w / D.
+    def _walk(self, cap: int | None = None) -> tuple[int, Iterable[tuple[Sequence[int], int]]]:
+        """(D, points): the whole support as (frame positions of an initial
+        sample, integer weight w), each sample drawn with probability w / D.
 
         Refuses supports larger than ``cap``, as ``check_cap`` does."""
         self.check_cap(cap)
@@ -87,8 +94,31 @@ class Design:
 
         Refuses supports larger than ``cap``, as ``check_cap`` does."""
         common, points = self._walk(cap)
-        for sample, w in points:
-            yield sample, Fraction(w, common)
+        frame = self.frame
+        for positions, w in points:
+            yield frozenset(map(frame.__getitem__, positions)), Fraction(w, common)
+
+    def draw(self, rng: random.Random) -> frozenset[str]:
+        """One initial sample; deterministic given the generator state."""
+        return frozenset(map(self.frame.__getitem__, self._draw(rng)))
+
+    def _stream(self, seed: int, replicates: int) -> Iterable[Sequence[int]]:
+        """The frame positions of ``replicates`` draws from random.Random(seed).
+
+        The last stream of an ``int`` seed is kept while it holds at most
+        KEPT_STREAM_CAP positions, so estimators that run under one seed
+        read one stream (common random numbers) and draw it once; any other
+        stream is drawn afresh on every call."""
+        key = seed, replicates
+        kept = type(seed) is int and replicates * self._largest <= KEPT_STREAM_CAP
+        if kept and self._kept is not None and self._kept[0] == key:
+            return self._kept[1]
+        rng = random.Random(seed)
+        stream = (self._draw(rng) for _ in range(replicates))
+        if kept:
+            stream = tuple(stream)
+            self._kept = key, stream
+        return stream
 
 
 class SrsworDesign(Design):
@@ -102,7 +132,7 @@ class SrsworDesign(Design):
         super().__init__(frame)
         if n is None or not 1 <= n <= len(self.frame):
             raise DesignError(f"SRSWOR size must be in 1..{len(self.frame)}")
-        self.n = n
+        self.n = self._largest = n
         self.size = comb(len(self.frame), n)
         self._by_size: dict[tuple[int, bool], Fraction] = {}
 
@@ -141,9 +171,10 @@ class SrsworDesign(Design):
         return ratio
 
     def _support(self):
-        """Every sample at weight 1 over C(N, n)."""
-        return self.size, ((frozenset(combo), 1)
-                           for combo in itertools.combinations(self.frame, self.n))
+        """Every sample at weight 1 over C(N, n), in the order of
+        ``itertools.combinations(frame, n)``."""
+        return self.size, zip(itertools.combinations(range(len(self.frame)), self.n),
+                              itertools.repeat(1))
 
     def require_support(self, sample: Iterable[str]) -> frozenset[str]:
         """The sample as a set; DesignError unless the design can draw it."""
@@ -156,9 +187,10 @@ class SrsworDesign(Design):
                               f"this SRSWOR design draws samples of size {self.n}")
         return sample
 
-    def draw(self, rng: random.Random) -> frozenset[str]:
-        """One initial sample; deterministic given the generator state."""
-        return frozenset(rng.sample(self.frame, self.n))
+    def _draw(self, rng: random.Random) -> list[int]:
+        """The positions that ``rng.sample(frame, n)`` picks, in its order:
+        ``random.sample`` draws them from the population's length alone."""
+        return rng.sample(range(len(self.frame)), self.n)
 
     def __repr__(self) -> str:
         return f"<Design SRSWOR N={len(self.frame)} n={self.n}>"
@@ -167,27 +199,32 @@ class SrsworDesign(Design):
 class ListedDesign(Design):
     """An explicitly enumerated distribution over initial samples."""
 
-    __slots__ = ("points", "_common", "_weights", "_cumulative")
+    __slots__ = ("points", "_common", "_weights", "_cumulative", "_position_points")
     kind = "enumerated"
     n = None
 
     def __init__(self, frame: Iterable[str], points):
-        points = tuple((frozenset(str(u) for u in s), to_fraction(p)) for s, p in points)
+        listed = [(frozenset(str(u) for u in s), to_fraction(p)) for s, p in points]
         super().__init__(frame)
-        if not points:
+        if not listed:
             raise DesignError("enumerated design has no support points")
-        self.points = points
-        self.size = len(points)
+        # A sample listed twice is one support point: its probabilities add
+        # up and its first appearance keeps its place.
+        merged: dict[frozenset[str], Fraction] = {}
+        for s, p in listed:
+            merged[s] = merged[s] + p if s in merged else p
+        self.points = tuple(merged.items())
+        self.size = len(self.points)
         # Each probability as an integer weight over one common denominator.
-        self._common = lcm(*(p.denominator for _, p in points))
+        self._common = lcm(*(p.denominator for p in merged.values()))
         self._weights = tuple((s, p.numerator * (self._common // p.denominator))
-                              for s, p in points)
+                              for s, p in self.points)
         self._cumulative = list(itertools.accumulate(w for _, w in self._weights))
         if self._cumulative[-1] != self._common:
             total = Fraction(self._cumulative[-1], self._common)
             raise DesignError(f"support probabilities sum to {total}, not 1")
         hit = set()
-        for s, p in points:
+        for s, p in listed:
             if p <= 0:
                 raise DesignError("support probabilities must be positive")
             if not s:
@@ -198,6 +235,11 @@ class ListedDesign(Design):
         never = self._frame_set - hit
         if never:
             raise DesignError(f"units with zero inclusion probability: {sorted(never)}")
+        # The support points that walks and draws read: (frame positions, weight).
+        position = {u: p for p, u in enumerate(self.frame)}
+        self._position_points = tuple((tuple(sorted(map(position.__getitem__, s))), w)
+                                      for s, w in self._weights)
+        self._largest = max(len(s) for s in merged)
 
     def _price(self, units: frozenset[str], fully_selected: bool) -> Fraction:
         if fully_selected:
@@ -215,7 +257,7 @@ class ListedDesign(Design):
 
     def _support(self):
         """The probabilities as weights over their least common denominator."""
-        return self._common, self._weights
+        return self._common, self._position_points
 
     def require_support(self, sample: Iterable[str]) -> frozenset[str]:
         """The sample as a set; DesignError unless the design can draw it."""
@@ -225,10 +267,11 @@ class ListedDesign(Design):
                               "of the design")
         return sample
 
-    def draw(self, rng: random.Random) -> frozenset[str]:
-        """One initial sample, drawn exactly: ``rng.randrange(D)`` over the common
+    def _draw(self, rng: random.Random) -> tuple[int, ...]:
+        """One support point, drawn exactly: ``rng.randrange(D)`` over the common
         denominator D, located among the cumulative integer weights."""
-        return self._weights[bisect_right(self._cumulative, rng.randrange(self._common))][0]
+        point = bisect_right(self._cumulative, rng.randrange(self._common))
+        return self._position_points[point][0]
 
     def __repr__(self) -> str:
         return f"<Design enumerated |support|={len(self.points)}>"

@@ -20,12 +20,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import design as _design
 from .big import AncestorRule, Big
@@ -250,6 +249,17 @@ def _eligibility_big(big: Big) -> Big:
     return Big._of(big.frame, big._pos, big.motifs, beta, big.rule, acs=big.acs)
 
 
+def _rows_hit(positions: Iterable[int], select: Sequence[Iterable[int]],
+              hit_by: Sequence[tuple[int, ...]] | None = None) -> Iterable[int]:
+    """The rows that an initial sample hits, given as positions that
+    ``select`` maps to the rows their units hit. With ``hit_by`` (fully
+    selected) a row is hit only when the sample holds all of its units."""
+    rows = chain.from_iterable(map(select.__getitem__, positions))
+    if hit_by is None:
+        return set(rows)
+    return [row for row, count in Counter(rows).items() if count == len(hit_by[row])]
+
+
 class _Plan:
     """One estimator compiled against a design and a Big.
 
@@ -265,8 +275,9 @@ class _Plan:
     Rows are numbered: ``labels[r]`` names row r, ``hit_by[r]`` holds the
     frame positions that hit it, and ``select[p]`` the rows that the unit
     at position p hits. Every price, and the choice of a closed form, comes
-    from the design's pricer; the maps that walks and draws read cover the
-    design's frame, where a unit the Big does not hold hits no row.
+    from the design's pricer. Walks and draws give initial samples as
+    positions in the design's frame, and the maps they read cover that
+    frame, where a unit the Big does not hold hits no row.
     """
 
     def __init__(self, design: Design, big: Big, spec: EstimatorSpec,
@@ -276,7 +287,7 @@ class _Plan:
         self.spec = spec
         self.fully_selected = fully_selected
         self.div = _scale_divisor(design, spec.scale)
-        self._numerator: tuple[Callable[[Iterable[str]], int], int] | None = None
+        self._numerator: tuple[Callable[[Iterable[int]], int], int] | None = None
         self._groups: tuple[int, int, dict[frozenset[int], list[int]]] | None = None
         frame, keys, y = big.frame, big._keys, big.motifs.y
         if spec.kind == HH:
@@ -284,7 +295,9 @@ class _Plan:
             alpha = big._successor_indices()
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
-            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j])) for j in alpha[p])
+            # A unit without successors carries no term.
+            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j]))
+                                        for j in alpha[p]) if alpha[p] else 0
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
@@ -292,23 +305,27 @@ class _Plan:
             self.hit_by = list(terms._beta.values())
             self.value = lambda j: y(keys[j])
         self._price, self._by_size = design._pricer(frame, fully_selected)
+        self._whole_rows = self.hit_by if fully_selected else None
 
     def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""
         return self._price(self.hit_by[row])
 
-    def _hits(self, seeds: Iterable[str]) -> set[int]:
-        """The rows that an initial sample hits."""
-        chosen = {self.big._position(u) for u in seeds}
-        return {row for p in chosen for row in self.select[p]
-                if not self.fully_selected or chosen.issuperset(self.hit_by[row])}
+    def _on_design_frame(self, by_position: Sequence) -> Sequence:
+        """A sequence over the Big's frame positions, indexed instead by the
+        design's: a unit of the design's frame that the Big lacks gets ()."""
+        big = self.big
+        if big.frame == self.design.frame:
+            return by_position
+        return [by_position[big._pos[u]] if u in big._pos else () for u in self.design.frame]
 
     def report(self, seeds: Iterable[str]) -> EstimatorReport:
         """The estimate with a (row, π, share) entry for each row hit, in row order.
 
         Only the rows hit are priced, so one report stays cheap."""
         rows = []
-        for row in sorted(self._hits(seeds)):
+        chosen = {self.big._position(u) for u in seeds}
+        for row in sorted(_rows_hit(chosen, self.select, self._whole_rows)):
             pi = self.pi(row)
             rows.append((self.labels[row], pi, self._share(self.value(row), pi)))
         total = _dot((part, 1) for _, _, part in rows)
@@ -319,42 +336,41 @@ class _Plan:
         return Fraction(value.numerator * pi.denominator,
                         value.denominator * pi.numerator * self.div)
 
-    def _scaled(self) -> tuple[Callable[[Iterable[str]], int], int]:
-        """(seeds -> integer numerator, common denominator) of the estimate.
+    def _scaled(self) -> tuple[Callable[[Iterable[int]], int], int]:
+        """(design positions -> integer numerator, common denominator) of the
+        estimate.
 
-        The terms value / π / divisor are put over their common denominator
-        once, so a draw or a support point adds integers; a row whose value
-        is zero carries no term."""
+        The terms value / π / divisor, each a reduced pair of integers, are
+        put over their common denominator once, so a draw or a support point
+        adds integers; a row whose value is zero carries no term."""
         if self._numerator is None:
             term = {}
             for row in range(len(self.labels)):
                 value = self.value(row)
                 if value:
-                    term[row] = self._share(value, self.pi(row))
-            common = math.lcm(*(t.denominator for t in term.values()))
-            scaled = {row: t.numerator * (common // t.denominator) for row, t in term.items()}
-            if self.fully_selected:
-                def numerator(seeds: Iterable[str]) -> int:
-                    return sum(scaled.get(row, 0) for row in self._hits(seeds))
-            else:
-                index = dict.fromkeys(self.design.frame, ())
-                index.update((unit, tuple(row for row in self.select[p] if row in scaled))
-                             for p, unit in enumerate(self.big.frame))
+                    pi = self.pi(row)
+                    n = value.numerator * pi.denominator
+                    d = value.denominator * pi.numerator * self.div
+                    g = math.gcd(n, d)
+                    term[row] = n // g, d // g
+            common = math.lcm(*(d for _, d in term.values()))
+            scaled = {row: n * (common // d) for row, (n, d) in term.items()}
+            index = self._on_design_frame(
+                [tuple(row for row in rows if row in scaled) for rows in self.select])
+            whole = self._whole_rows
 
-                def numerator(seeds: Iterable[str]) -> int:
-                    hit = set()
-                    for unit in seeds:
-                        hit.update(index[unit])
-                    return sum(scaled[row] for row in hit)
+            # The closure holds no reference to the plan, so a plan is freed
+            # as soon as its last user drops it.
+            def numerator(positions: Iterable[int]) -> int:
+                return sum(map(scaled.__getitem__, _rows_hit(positions, index, whole)))
 
             self._numerator = numerator, common
         return self._numerator
 
-    def _observer(self) -> Callable[[Iterable[str]], frozenset[int]]:
-        """Seeds -> the indices of the Big's motifs that they observe."""
-        observes = dict.fromkeys(self.design.frame, ())
-        observes.update(zip(self.big.frame, self.big._successor_indices()))
-        return lambda seeds: frozenset().union(*map(observes.__getitem__, seeds))
+    def _observer(self) -> Callable[[Iterable[int]], frozenset[int]]:
+        """Design positions -> the indices of the Big's motifs that they observe."""
+        observes = self._on_design_frame(self.big._successor_indices())
+        return lambda positions: frozenset().union(*map(observes.__getitem__, positions))
 
     def _group_table(self, cap: int | None) -> tuple[int, int, dict[frozenset[int], list[int]]]:
         """(D, c, table): observed motif set -> [Σ w·x, Σ w] over the design
@@ -365,16 +381,17 @@ class _Plan:
             weight, walk = self.design._walk(cap)
             observed = self._observer()
             table: dict[frozenset[int], list[int]] = defaultdict(lambda: [0, 0])
-            for seeds, w in walk:
-                group = table[observed(seeds)]
-                group[0] += w * numerator(seeds)
+            for positions, w in walk:
+                group = table[observed(positions)]
+                group[0] += w * numerator(positions)
                 group[1] += w
             self._groups = weight, common, table
         return self._groups
 
     def evaluator(self, cap: int | None = None, divide: Callable[[int, int], object] = Fraction
-                  ) -> Callable[[Iterable[str]], object]:
-        """Seeds -> estimate; one draw costs the successor lists of its seeds.
+                  ) -> Callable[[Iterable[int]], object]:
+        """Design positions of an initial sample -> estimate; one draw costs
+        the successor lists of its units.
 
         The estimate is divide(numerator, denominator) of two integers: the
         exact Fraction by default. With operator.truediv it is a float,
@@ -383,9 +400,9 @@ class _Plan:
             _, common, table = self._group_table(cap)
             means = {motifs: divide(num, den * common) for motifs, (num, den) in table.items()}
             observed = self._observer()
-            return lambda seeds: means[observed(seeds)]
+            return lambda positions: means[observed(positions)]
         numerator, common = self._scaled()
-        return lambda seeds: divide(numerator(seeds), common)
+        return lambda positions: divide(numerator(positions), common)
 
     def moments(self, cap: int | None) -> tuple[Fraction, Fraction] | None:
         """(E[x], E[x²]) without a walk of their own, or None when only a walk
@@ -415,14 +432,15 @@ class _Plan:
         index = {key: j for j, key in enumerate(self.big._keys)}
         target = frozenset(map(index.get, observed.motifs))
         observes = self._observer()
-        points = [(seeds, w, numerator(seeds)) for seeds, w in walk
-                  if observes(seeds) == target]
+        points = [(positions, w, numerator(positions)) for positions, w in walk
+                  if observes(positions) == target]
         den = sum(w for _, w, _ in points)
         if den == 0:
             raise DesignError("no initial sample realizes the observed motif set")
         num = sum(w * x for _, w, x in points)
-        rows = tuple((" ".join(sorted(seeds)), Fraction(w, den), Fraction(x, common))
-                     for seeds, w, x in points)
+        frame = self.design.frame
+        rows = tuple((" ".join(sorted(map(frame.__getitem__, positions))), Fraction(w, den),
+                      Fraction(x, common)) for positions, w, x in points)
         return EstimatorReport(Fraction(num, den * common), self.spec.scale, rows)
 
 
@@ -559,14 +577,16 @@ def _summaries(design: Design, plans: list[_Plan], cap: int | None = None,
                   for plan in plans]
         sums = {j: [0, 0] for j, moments in enumerate(raw) if moments is None}
         probability: dict[int, Fraction] = {}
-        for seeds, w in walk:
-            xs = [value(seeds) for value, _ in values]
+        frame = design.frame
+        for positions, w in walk:
+            xs = [value(positions) for value, _ in values]
             for j, acc in sums.items():
                 acc[0] += w * xs[j]
                 acc[1] += w * xs[j] * xs[j]
             if samples is not None:
                 p = probability.get(w) or probability.setdefault(w, Fraction(w, weight))
-                samples.append((seeds, p, tuple(Fraction(x, c) for x, (_, c) in zip(xs, values))))
+                samples.append((frozenset(map(frame.__getitem__, positions)), p,
+                                tuple(Fraction(x, c) for x, (_, c) in zip(xs, values))))
         for j, (first, second) in sums.items():
             c = values[j][1]
             raw[j] = Fraction(first, weight * c), Fraction(second, weight * c * c)
@@ -609,12 +629,14 @@ class MonteCarloSummary:
 def monte_carlo_moments(design: Design, big: Big, spec: EstimatorSpec,
                         replicates: int, seed: int,
                         cap: int | None = None) -> MonteCarloSummary:
-    """Estimate the design moments from seeded replicate draws."""
+    """Estimate the design moments from seeded replicate draws.
+
+    Calls with one design, ``int`` seed and replicate count read one draw
+    stream, kept by the design (``Design._stream``) up to its bound."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    rng = random.Random(seed)
     evaluate = _Plan(design, big, spec).evaluator(cap, operator.truediv)
-    values = [evaluate(design.draw(rng)) for _ in range(replicates)]
+    values = list(map(evaluate, design._stream(seed, replicates)))
     r = replicates
     mean = math.fsum(values) / r
     target = float(big.theta() / _scale_divisor(design, spec.scale))

@@ -8,6 +8,7 @@ the production modules, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -629,6 +630,22 @@ def oracle_monte_carlo(draw, estimate, replicates, seed, target):
     variance = m2 * r / (r - 1) if r > 1 else 0.0
     return (mean, variance, mse, math.sqrt(m2 / r), math.sqrt(max(m4 - m2 * m2, 0.0) / r),
             math.sqrt(max(q4 - mse * mse, 0.0) / r), goal)
+
+
+def oracle_draws(design, seed, k):
+    """``k`` initial samples from random.Random(seed), drawn on unit labels.
+
+    Under SRSWOR each is ``frozenset(rng.sample(frame, n))``. A listed
+    design draws ``rng.randrange(D)`` over the lcm D of its probabilities
+    and locates it by bisection among the cumulative integer weights of
+    its support points, in their listed order."""
+    rng = random.Random(seed)
+    if design.points is None:
+        return [frozenset(rng.sample(design.frame, design.n)) for _ in range(k)]
+    common = math.lcm(*(p.denominator for _, p in design.points))
+    cumulative = list(itertools.accumulate(int(p * common) for _, p in design.points))
+    return [design.points[bisect.bisect_right(cumulative, rng.randrange(common))][0]
+            for _ in range(k)]
 
 
 def json_report(report):

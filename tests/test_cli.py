@@ -11,11 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from bigs import __version__
 from bigs.big import acs_big, AncestorRule
 from bigs.builtins import builtin_population
 from bigs.cli import build_parser, main
-from bigs.design import Design, realize_sample_big
+from bigs.design import Design, SrsworDesign, realize_sample_big
 from bigs.estimators import EstimatorSpec, estimate, rao_blackwellize
+
+from oracles import json_report
 
 
 TOY_GRAPH = """\
@@ -464,6 +467,72 @@ def test_enumerate_accepts_design_file(tmp_path, capsys):
     _, _, rows = csv_rows(out)
     assert rows[0][2] == "202.600000"
     assert rows[0][5] == "3"
+
+
+def test_enumerate_counts_a_sample_listed_twice_once(tmp_path, capsys):
+    graph = write_graph(tmp_path, "1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n")
+    reports = []
+    for name, text in (("dup", "1/4: 1 2\n1/4: 1 2\n1/2: 3 4 5 6 7 8\n"),
+                       ("twin", "1/2: 1 2\n1/2: 3 4 5 6 7 8\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "enumerate", graph, "--motif", "k2",
+                               "--rule", "full:1", "--design", str(path), "--estimator", "ht")
+        assert code == 0
+        reports.append(csv_rows(out)[2])
+    assert reports[0] == reports[1] == [["ht", "total", "7.000000", "16.000000", "16.000000",
+                                         "2"]]
+
+
+SIMULATE_THREE = ("simulate", "thompson1990", "--rule", "acs-b-star", "--estimator", "ht",
+                  "--estimator", "hh:inverse-alpha", "--estimator", "rb:hh:equal-share",
+                  "--replicates", "200", "--seed", "7")
+# Every estimator of a run reads one draw stream, so rb:hh:equal-share
+# (whose group means are the inverse-alpha HH values here) matches
+# hh:inverse-alpha replicate for replicate.
+SIMULATE_THREE_CSV = f"""\
+# bigs {__version__}
+# config {{"count":false,"design":"srswor","estimators":["ht","hh:inverse-alpha","rb:hh:equal-share"],"input":"thompson1990","mode":"simulate","replicates":200,"rule":"acs-b-star","scale":"total","seed":7,"weights":"equal-share"}}
+# seed 7
+estimator,scale,replicates,seed,mean,se_mean,variance,se_variance,mse,se_mse
+ht,total,200,7,984.055357,47.504658,453606.535096,24630.357235,452176.294770,27380.274067
+hh:inverse-alpha,total,200,7,1000.287500,55.354300,615899.194567,51773.751502,612981.306250,51584.535553
+rb:hh:equal-share,total,200,7,1000.287500,55.354300,615899.194567,51773.751502,612981.306250,51584.535553
+"""
+SIMULATE_THREE_RESULTS = [
+    {"estimator": "ht", "mean": 984.0553571428571, "mse": 452176.2947704082,
+     "se_mean": 47.504657793751164, "se_mse": 27380.27406730059,
+     "se_variance": 24630.357234926683, "variance": 453606.53509575943},
+    {"estimator": "hh:inverse-alpha", "mean": 1000.2875, "mse": 612981.30625,
+     "se_mean": 55.35429967914643, "se_mse": 51584.53555326236,
+     "se_variance": 51773.75150221748, "variance": 615899.194566583},
+    {"estimator": "rb:hh:equal-share", "mean": 1000.2875, "mse": 612981.30625,
+     "se_mean": 55.35429967914643, "se_mse": 51584.53555326236,
+     "se_variance": 51773.75150221748, "variance": 615899.194566583},
+]
+
+
+def test_simulate_draws_one_stream_for_all_its_estimators(tmp_path, capsys, monkeypatch):
+    calls = []
+    draw = SrsworDesign._draw
+    monkeypatch.setattr(SrsworDesign, "_draw",
+                        lambda self, rng: calls.append(rng) or draw(self, rng))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *SIMULATE_THREE)
+    assert code == 0 and len(calls) == 200
+    assert out == SIMULATE_THREE_CSV
+    code, out, _ = run_cli(capsys, *SIMULATE_THREE, "--out", "sim.json")
+    assert code == 0 and out == "" and len(calls) == 400
+    config = {"count": False, "design": "srswor",
+              "estimators": ["ht", "hh:inverse-alpha", "rb:hh:equal-share"],
+              "input": "thompson1990", "mode": "simulate", "out": "sim.json",
+              "replicates": 200, "rule": "acs-b-star", "scale": "total", "seed": 7,
+              "weights": "equal-share"}
+    results = [{**r, "replicates": 200, "scale": "total", "seed": 7, "target": 1013.0}
+               for r in SIMULATE_THREE_RESULTS]
+    assert (tmp_path / "sim.json").read_text() == json_report(
+        {"big": "thompson1990:acs-b-star", "config": config, "results": results,
+         "seed": 7, "version": __version__})
 
 
 def test_simulate_seeded_runs_are_identical(capsys):

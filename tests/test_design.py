@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError, Motif,
                   MotifSet, ParseError, first_order_inclusion, parse_design_file,
                   realize_sample_big, thompson1990)
 
-from oracles import random_incidence, srswor_samples
+from oracles import oracle_draws, random_incidence, srswor_samples
 
 
 def test_srswor_basic_probabilities():
@@ -252,3 +253,57 @@ def test_srswor_and_its_listed_twin_keep_one_contract():
         assert (d.kind, d.frame, d.n, d.points) == ("srswor", tuple(frame), n, None)
         assert (twin.kind, twin.frame, twin.n) == ("enumerated", tuple(frame), None)
         assert twin.points == tuple(d.enumerate())
+
+
+def test_listed_design_merges_a_sample_listed_twice():
+    frame = [str(i) for i in range(1, 9)]
+    dup = parse_design_file("1/4: 1 2\n1/4: 1 2\n1/2: 3 4 5 6 7 8\n", frame)
+    twin = parse_design_file("1/2: 1 2\n1/2: 3 4 5 6 7 8\n", frame)
+    assert dup.points == twin.points == ((frozenset("12"), Fraction(1, 2)),
+                                         (frozenset("345678"), Fraction(1, 2)))
+    assert dup.size == 2 and list(dup.enumerate()) == list(twin.points)
+    dup.check_cap(2)
+    with pytest.raises(EnumerationCapError, match="2 points"):
+        dup.check_cap(1)
+    # The first appearance keeps its place; every listed probability must
+    # still be positive on its own.
+    assert Design.enumerated("abc", [("c", "1/4"), ("ab", "1/4"), ("c", "1/2")]).points == \
+        ((frozenset("c"), Fraction(3, 4)), (frozenset("ab"), Fraction(1, 4)))
+    with pytest.raises(DesignError, match="positive"):
+        Design.enumerated("ab", [("a", "1/2"), ("a", "-1/4"), ("b", "3/4")])
+
+
+@st.composite
+def stream_instances(draw):
+    """A frame of distinct labels whose sorted order is not their frame
+    order, an SRSWOR size, listed support points (bitmasks, repeats
+    allowed, the whole frame last so that every unit is drawable) with
+    integer weights, a seed and a stream length."""
+    frame = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2),
+                          min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(1, len(frame)))
+    full = 2 ** len(frame) - 1
+    masks = draw(st.lists(st.integers(1, full), max_size=5)) + [full]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(masks), max_size=len(masks)))
+    return frame, n, masks, weights, draw(st.integers(0, 2 ** 40)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(stream_instances())
+def test_draws_streams_and_supports_keep_the_label_stream(instance):
+    frame, n, masks, weights, seed, k = instance
+    listed = [(frozenset(u for i, u in enumerate(frame) if mask >> i & 1),
+               Fraction(w, sum(weights))) for mask, w in zip(masks, weights)]
+    merged = {}
+    for sample, p in listed:
+        merged[sample] = merged.get(sample, 0) + p
+    srswor, enumerated = Design.srswor(frame, n), Design.enumerated(frame, listed)
+    assert [s for s, _ in srswor.enumerate()] == \
+        [frozenset(c) for c in itertools.combinations(frame, n)]
+    assert list(enumerated.enumerate()) == list(enumerated.points) == list(merged.items())
+    for d in (srswor, enumerated):
+        want = oracle_draws(d, seed, k)
+        rng = random.Random(seed)
+        assert [d.draw(rng) for _ in range(k)] == want
+        assert [frozenset(frame[p] for p in positions) for positions in d._stream(seed, k)] \
+            == want

@@ -16,8 +16,10 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+import bigs.design
 from bigs import (AncestorRule, Big, Design, EstimatorSpec, Graph, Motif, MotifSet, acs_big,
                   estimate, exact_moments, monte_carlo_moments, realize_sample_big)
+from bigs.design import ListedDesign, SrsworDesign
 from bigs.estimators import _Plan
 
 from oracles import oracle_monte_carlo
@@ -70,10 +72,12 @@ def check_floats(design, big, spec, seed):
             reported[seeds] = estimate(spec, design, big, sample).estimate
         return reported[seeds]
 
+    # The plan reads draws as frame positions; ``draw`` gives the same samples as units.
     rng = random.Random(seed)
-    for _ in range(REPLICATES):
+    for positions in design._stream(seed, REPLICATES):
         seeds = design.draw(rng)
-        assert as_float(seeds) == float(exact(seeds)) == float(reported_estimate(seeds))
+        assert seeds == frozenset(design.frame[p] for p in positions)
+        assert as_float(positions) == float(exact(positions)) == float(reported_estimate(seeds))
 
     mc = monte_carlo_moments(design, big, spec, REPLICATES, seed)
     target = big.theta() / (len(big.frame) if spec.scale == "mean" else 1)
@@ -110,3 +114,92 @@ def test_float_estimates_and_monte_carlo_equal_the_exact_ones(instance):
     grid = acs_big(Graph(cells, edges), dict(zip(cells, grid_y)), 5, AncestorRule.acs_b())
     for design in designs(cells, grid_n, weights):
         check_floats(design, grid, EstimatorSpec.parse("modified-ht", scale=scale), seed)
+
+
+FIVE = ["a", "b", "c", "d", "e"]
+FIVE_BETA = {"m0": {"a", "b"}, "m1": {"b", "c", "d"}, "m2": {"e"}, "m3": {"c"}}
+FIVE_Y = {"m0": Fraction(5, 3), "m1": Fraction(-3, 2), "m2": Fraction(4), "m3": Fraction(1, 4)}
+
+
+def _five_big(frame, keys):
+    beta = {k: FIVE_BETA[k] for k in keys}
+    return Big(frame, MotifSet([Motif(k) for k in keys], {k: FIVE_Y[k] for k in keys}),
+               beta, AncestorRule.full())
+
+
+def _listed_five():
+    return Design.enumerated(FIVE, [("ab", "1/6"), ("cd", "1/3"), ("be", "1/4"),
+                                    ("ace", "1/4")])
+
+
+def _counting(monkeypatch, cls):
+    """Count the calls that ``cls`` makes to its one draw entry point."""
+    calls = []
+    draw = cls._draw
+
+    def counted(self, rng):
+        calls.append(rng)
+        return draw(self, rng)
+
+    monkeypatch.setattr(cls, "_draw", counted)
+    return calls
+
+
+def test_estimators_under_one_seed_read_one_kept_stream(monkeypatch):
+    calls = _counting(monkeypatch, SrsworDesign)
+    big, design = _five_big(FIVE, FIVE_BETA), Design.srswor(FIVE, 2)
+    specs = [EstimatorSpec.parse(t) for t in ("ht", "hh:inverse-alpha", "rb:hh:equal-share")]
+    for spec in specs:
+        monte_carlo_moments(design, big, spec, 30, 4)
+    assert len(calls) == 30
+    # A new seed or a new replicate count draws again; only the last stream is kept.
+    monte_carlo_moments(design, big, specs[0], 30, 5)
+    monte_carlo_moments(design, big, specs[0], 31, 5)
+    monte_carlo_moments(design, big, specs[1], 31, 5)
+    monte_carlo_moments(design, big, specs[0], 30, 4)
+    assert len(calls) == 30 + 30 + 31 + 30
+    # Only an int seed is kept.
+    del calls[:]
+    monte_carlo_moments(design, big, specs[0], 30, "4")
+    monte_carlo_moments(design, big, specs[0], 30, "4")
+    assert len(calls) == 60
+    # A stream of more positions (replicates × sample size) than the bound
+    # is drawn on every call; one at the bound is kept.
+    monkeypatch.setattr(bigs.design, "KEPT_STREAM_CAP", 2 * 30 - 1)
+    del calls[:]
+    first = monte_carlo_moments(design, big, specs[0], 30, 8)
+    assert monte_carlo_moments(design, big, specs[0], 30, 8) == first
+    assert len(calls) == 60
+    monkeypatch.setattr(bigs.design, "KEPT_STREAM_CAP", 2 * 30)
+    assert monte_carlo_moments(design, big, specs[0], 30, 8) == first
+    assert monte_carlo_moments(design, big, specs[0], 30, 8) == first
+    assert len(calls) == 90
+
+
+def test_kept_stream_gives_the_summaries_of_a_fresh_design(monkeypatch):
+    replicates, seed = 60, 11
+    calls = _counting(monkeypatch, ListedDesign)
+    full = _five_big(FIVE, FIVE_BETA)
+    # A Big over part of the design's frame: the design's units that it
+    # lacks observe nothing.
+    sub = _five_big(["b", "c", "d"], ["m1", "m3"])
+    for make in (lambda: Design.srswor(FIVE, 2), _listed_five):
+        kept = make()
+        for big in (full, sub):
+            for label in ("ht", "hh:inverse-alpha", "rb:hh:equal-share"):
+                spec = EstimatorSpec.parse(label)
+                monte_carlo_moments(kept, big, EstimatorSpec.parse("ht"), replicates, seed)
+                served = monte_carlo_moments(kept, big, spec, replicates, seed)
+                fresh = make()
+                assert served == monte_carlo_moments(fresh, big, spec, replicates, seed)
+
+                def exact(seeds):
+                    sample = realize_sample_big(big, seeds & frozenset(big.frame))
+                    return estimate(spec, fresh, big, sample).estimate
+
+                assert (served.mean, served.variance, served.mse, served.se_mean,
+                        served.se_variance, served.se_mse, served.target) == \
+                    oracle_monte_carlo(fresh.draw, exact, replicates, seed, big.theta())
+    # The kept listed design drew its stream once; each fresh one drew it
+    # for its summary and again through the oracle's ``draw``.
+    assert len(calls) == replicates * (1 + 2 * 3 + 2 * 3)
