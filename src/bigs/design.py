@@ -26,7 +26,8 @@ from .errors import DesignError, EnumerationCapError, ParseError, exact, records
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 # A design keeps the last seeded draw stream it made (see ``Design._stream``)
-# while it holds at most this many frame positions, replicates × sample size.
+# while it holds at most this many frame positions, replicates × sample size:
+# at most 12 MiB (n = 1), and enough for 10,000 replicates of up to 13 units.
 KEPT_STREAM_CAP = 2 ** 17
 
 
@@ -199,7 +200,7 @@ class SrsworDesign(Design):
 class ListedDesign(Design):
     """An explicitly enumerated distribution over initial samples."""
 
-    __slots__ = ("points", "_common", "_weights", "_cumulative", "_position_points")
+    __slots__ = ("_index", "_common", "_points", "_cumulative")
     kind = "enumerated"
     n = None
 
@@ -213,13 +214,11 @@ class ListedDesign(Design):
         merged: dict[frozenset[str], Fraction] = {}
         for s, p in listed:
             merged[s] = merged[s] + p if s in merged else p
-        self.points = tuple(merged.items())
-        self.size = len(self.points)
+        self.size = len(merged)
         # Each probability as an integer weight over one common denominator.
         self._common = lcm(*(p.denominator for p in merged.values()))
-        self._weights = tuple((s, p.numerator * (self._common // p.denominator))
-                              for s, p in self.points)
-        self._cumulative = list(itertools.accumulate(w for _, w in self._weights))
+        weights = [p.numerator * (self._common // p.denominator) for p in merged.values()]
+        self._cumulative = list(itertools.accumulate(weights))
         if self._cumulative[-1] != self._common:
             total = Fraction(self._cumulative[-1], self._common)
             raise DesignError(f"support probabilities sum to {total}, not 1")
@@ -235,46 +234,61 @@ class ListedDesign(Design):
         never = self._frame_set - hit
         if never:
             raise DesignError(f"units with zero inclusion probability: {sorted(never)}")
-        # The support points that walks and draws read: (frame positions, weight).
-        position = {u: p for p, u in enumerate(self.frame)}
-        self._position_points = tuple((tuple(sorted(map(position.__getitem__, s))), w)
-                                      for s, w in self._weights)
-        self._largest = max(len(s) for s in merged)
+        # The support, held once: (frame positions of a sample, integer weight).
+        self._index = {u: p for p, u in enumerate(self.frame)}
+        self._points = tuple((frozenset(map(self._index.__getitem__, s)), w)
+                             for s, w in zip(merged, weights))
+        self._largest = max(map(len, merged))
+
+    @property
+    def points(self) -> tuple[tuple[frozenset[str], Fraction], ...]:
+        """The support as (initial sample, probability), in listed order."""
+        frame = self.frame
+        return tuple((frozenset(map(frame.__getitem__, s)), Fraction(w, self._common))
+                     for s, w in self._points)
 
     def _price(self, units: frozenset[str], fully_selected: bool) -> Fraction:
+        return self._position_price(frozenset(map(self._index.__getitem__, units)),
+                                    fully_selected)
+
+    def _position_price(self, positions: frozenset[int], fully_selected: bool) -> Fraction:
         if fully_selected:
-            hits = sum(w for s, w in self._weights if units <= s)
+            hits = sum(w for s, w in self._points if positions <= s)
         else:
-            hits = sum(w for s, w in self._weights if not units.isdisjoint(s))
+            hits = sum(w for s, w in self._points if not positions.isdisjoint(s))
         return Fraction(hits, self._common)
 
     def _position_pricer(self, frame, fully_selected):
-        return (lambda positions: self._price(frozenset(map(frame.__getitem__, positions)),
-                                              fully_selected), None)
+        # The design's position of each position of ``frame``.
+        to_design = (range(len(frame)) if frame == self.frame
+                     else [self._index[u] for u in frame])
+        return (lambda positions: self._position_price(
+            frozenset(map(to_design.__getitem__, positions)), fully_selected), None)
 
     def size_ratio(self, fully_selected: bool = False):
         raise DesignError("pricing by set sizes needs a simple random sampling design")
 
     def _support(self):
         """The probabilities as weights over their least common denominator."""
-        return self._common, self._position_points
+        return self._common, self._points
 
     def require_support(self, sample: Iterable[str]) -> frozenset[str]:
         """The sample as a set; DesignError unless the design can draw it."""
         sample = frozenset(str(u) for u in sample)
-        if all(sample != point for point, _ in self.points):
+        # A unit outside the frame maps to None, which no support point holds.
+        positions = frozenset(map(self._index.get, sample))
+        if all(positions != point for point, _ in self._points):
             raise DesignError(f"initial sample {sorted(sample)} is not a support point "
                               "of the design")
         return sample
 
-    def _draw(self, rng: random.Random) -> tuple[int, ...]:
+    def _draw(self, rng: random.Random) -> frozenset[int]:
         """One support point, drawn exactly: ``rng.randrange(D)`` over the common
         denominator D, located among the cumulative integer weights."""
-        point = bisect_right(self._cumulative, rng.randrange(self._common))
-        return self._position_points[point][0]
+        return self._points[bisect_right(self._cumulative, rng.randrange(self._common))][0]
 
     def __repr__(self) -> str:
-        return f"<Design enumerated |support|={len(self.points)}>"
+        return f"<Design enumerated |support|={self.size}>"
 
 
 Design.srswor, Design.enumerated = SrsworDesign, ListedDesign

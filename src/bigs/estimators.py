@@ -305,7 +305,6 @@ class _Plan:
             self.hit_by = list(terms._beta.values())
             self.value = lambda j: y(keys[j])
         self._price, self._by_size = design._pricer(frame, fully_selected)
-        self._whole_rows = self.hit_by if fully_selected else None
 
     def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""
@@ -325,7 +324,8 @@ class _Plan:
         Only the rows hit are priced, so one report stays cheap."""
         rows = []
         chosen = {self.big._position(u) for u in seeds}
-        for row in sorted(_rows_hit(chosen, self.select, self._whole_rows)):
+        whole = self.hit_by if self.fully_selected else None
+        for row in sorted(_rows_hit(chosen, self.select, whole)):
             pi = self.pi(row)
             rows.append((self.labels[row], pi, self._share(self.value(row), pi)))
         total = _dot((part, 1) for _, _, part in rows)
@@ -357,7 +357,7 @@ class _Plan:
             scaled = {row: n * (common // d) for row, (n, d) in term.items()}
             index = self._on_design_frame(
                 [tuple(row for row in rows if row in scaled) for rows in self.select])
-            whole = self._whole_rows
+            whole = self.hit_by if self.fully_selected else None
 
             # The closure holds no reference to the plan, so a plan is freed
             # as soon as its last user drops it.
