@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import ceil, comb, lcm, log
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DesignError, EnumerationCapError, ParseError, exact, records, to_fraction
@@ -125,7 +125,7 @@ class Design:
 class SrsworDesign(Design):
     """Simple random sampling of ``n`` frame units without replacement."""
 
-    __slots__ = ("n", "_by_size")
+    __slots__ = ("n", "_by_size", "_pool")
     kind = "srswor"
     points = None
 
@@ -136,6 +136,9 @@ class SrsworDesign(Design):
         self.n = self._largest = n
         self.size = comb(len(self.frame), n)
         self._by_size: dict[tuple[int, bool], Fraction] = {}
+        # ``random.Random.sample`` swaps picks within a pool of the population
+        # while N is at most its set-size bound; past it, it rejects repeats.
+        self._pool = len(self.frame) <= 21 + (4 ** ceil(log(n * 3, 4)) if n > 5 else 0)
 
     def _hits(self, m: int, fully_selected: bool) -> int:
         """Samples that meet, or with ``fully_selected`` contain, m given units."""
@@ -190,8 +193,27 @@ class SrsworDesign(Design):
 
     def _draw(self, rng: random.Random) -> list[int]:
         """The positions that ``rng.sample(frame, n)`` picks, in its order:
-        ``random.sample`` draws them from the population's length alone."""
-        return rng.sample(range(len(self.frame)), self.n)
+        ``random.Random.sample`` picks from the population's length alone,
+        and this reads ``rng.getrandbits`` as it does. Each pick is tried
+        with as many bits as its bound has until it is below the pool's
+        size, or below N and not picked yet."""
+        N, bits = len(self.frame), rng.getrandbits
+        if self._pool:
+            pool, picked = list(range(N)), []
+            for size in range(N, N - self.n, -1):
+                k = size.bit_length()
+                j = bits(k)
+                while j >= size:
+                    j = bits(k)
+                picked.append(pool[j])
+                pool[j] = pool[size - 1]
+            return picked
+        k, picked = N.bit_length(), {}
+        while len(picked) < self.n:
+            j = bits(k)
+            if j < N:
+                picked[j] = None  # a repeat keeps its first place
+        return list(picked)
 
     def __repr__(self) -> str:
         return f"<Design SRSWOR N={len(self.frame)} n={self.n}>"

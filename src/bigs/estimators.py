@@ -130,13 +130,15 @@ def _weight_rows(big: Big, scheme: WeightScheme) -> Callable[[str], dict[int, Fr
             return size
 
         # Every ancestor's count is checked, in motif order.
-        inverse = {p: Fraction(1, alpha_size(p))
-                   for p in dict.fromkeys(chain.from_iterable(big._beta.values()))}
+        sizes = {p: alpha_size(p) for p in dict.fromkeys(chain.from_iterable(big._beta.values()))}
 
         def row(key: str) -> dict[int, Fraction]:
+            # (1/|α_i|) / Σ_j 1/|α_j| as (L/|α_i|) / Σ_j L/|α_j|, L their lcm.
             beta = big._beta[key]
-            norm = sum(map(inverse.__getitem__, beta))
-            return {p: inverse[p] / norm for p in beta}
+            common = math.lcm(*map(sizes.__getitem__, beta))
+            parts = [common // sizes[p] for p in beta]
+            norm = sum(parts)
+            return {p: Fraction(part, norm) for p, part in zip(beta, parts)}
     else:
         rows: dict[str, dict[int, Fraction]] = {key: {} for key in big._keys}
         for (u, key), w in (scheme.table or {}).items():
@@ -295,16 +297,19 @@ class _Plan:
             alpha = big._successor_indices()
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
-            # A unit without successors carries no term.
-            self.value = lambda p: _dot((weights(keys[j])[p], y(keys[j]))
-                                        for j in alpha[p]) if alpha[p] else 0
+            # z_i = Σ_k ω_ik y_k over the successors k of unit i.
+            self.parts = lambda p: [(weights(keys[j])[p], y(keys[j])) for j in alpha[p]]
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
             self.select = terms._successor_indices()
             self.hit_by = list(terms._beta.values())
-            self.value = lambda j: y(keys[j])
+            self.parts = lambda j: ((y(keys[j]), 1),)
         self._price, self._by_size = design._pricer(frame, fully_selected)
+
+    def value(self, row: int) -> Fraction:
+        """The row's value, Σ a·b over its parts: y_k, or z_i for an HH row."""
+        return _dot(self.parts(row))
 
     def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""
@@ -340,29 +345,40 @@ class _Plan:
         """(design positions -> integer numerator, common denominator) of the
         estimate.
 
-        The terms value / π / divisor, each a reduced pair of integers, are
-        put over their common denominator once, so a draw or a support point
-        adds integers; a row whose value is zero carries no term."""
+        The terms a·b / π / divisor, one per nonzero part of a row's value,
+        each a reduced pair of integers, are put over their common
+        denominator once, so a draw or a support point adds integers; a row
+        whose parts are all zero carries no term."""
         if self._numerator is None:
-            term = {}
+            terms = []
             for row in range(len(self.labels)):
-                value = self.value(row)
-                if value:
+                parts = [(a, b) for a, b in self.parts(row) if a and b]
+                if parts:
                     pi = self.pi(row)
-                    n = value.numerator * pi.denominator
-                    d = value.denominator * pi.numerator * self.div
-                    g = math.gcd(n, d)
-                    term[row] = n // g, d // g
-            common = math.lcm(*(d for _, d in term.values()))
-            scaled = {row: n * (common // d) for row, (n, d) in term.items()}
+                    for a, b in parts:
+                        n = a.numerator * b.numerator * pi.denominator
+                        d = a.denominator * b.denominator * pi.numerator * self.div
+                        g = math.gcd(n, d)
+                        terms.append((row, n // g, d // g))
+            common = math.lcm(*(d for _, _, d in terms))
+            scaled: dict[int, int] = defaultdict(int)
+            for row, n, d in terms:
+                scaled[row] += n * (common // d)
             index = self._on_design_frame(
                 [tuple(row for row in rows if row in scaled) for rows in self.select])
             whole = self.hit_by if self.fully_selected else None
 
-            # The closure holds no reference to the plan, so a plan is freed
+            # The closures hold no reference to the plan, so a plan is freed
             # as soon as its last user drops it.
-            def numerator(positions: Iterable[int]) -> int:
-                return sum(map(scaled.__getitem__, _rows_hit(positions, index, whole)))
+            if all(len(self.hit_by[row]) == 1 for row in scaled):
+                # No row is hit through two units: each position adds its own rows.
+                own = [sum(map(scaled.__getitem__, rows)) for rows in index]
+
+                def numerator(positions: Iterable[int]) -> int:
+                    return sum(map(own.__getitem__, positions))
+            else:
+                def numerator(positions: Iterable[int]) -> int:
+                    return sum(map(scaled.__getitem__, _rows_hit(positions, index, whole)))
 
             self._numerator = numerator, common
         return self._numerator

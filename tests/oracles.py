@@ -529,6 +529,16 @@ def oracle_hh_moments(frame, n, beta, y, scheme):
     return expectation, variance
 
 
+def oracle_inverse_alpha(beta, counts):
+    """Inverse-alpha weight rows from the textbook formula:
+    ω_ik = (1/|α_i|) / Σ_{j ∈ β_k} 1/|α_j|, with |α_i| = counts[i]."""
+    rows = {}
+    for key, anc in beta.items():
+        norm = sum(Fraction(1, counts[u]) for u in anc)
+        rows[key] = {u: Fraction(1, counts[u]) / norm for u in anc}
+    return rows
+
+
 def oracle_induced_moments(frame, n, members_by_key, y):
     """Moments of the all-members-selected estimator by enumeration."""
     samples = list(srswor_samples(frame, n))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError, Motif,
                   MotifSet, ParseError, first_order_inclusion, parse_design_file,
@@ -307,3 +307,40 @@ def test_draws_streams_and_supports_keep_the_label_stream(instance):
         assert [d.draw(rng) for _ in range(k)] == want
         assert [frozenset(frame[p] for p in positions) for positions in d._stream(seed, k)] \
             == want
+
+
+@st.composite
+def large_frames(draw):
+    """A frame size above ``random.Random.sample``'s smallest set-size bound
+    of 21, a sample size up to it (small ones more often), a seed and a
+    stream length."""
+    N = draw(st.integers(22, 300))
+    n = draw(st.one_of(st.integers(1, min(N, 12)), st.integers(1, N)))
+    return N, n, draw(st.integers(0, 2 ** 64)), draw(st.integers(1, 8))
+
+
+# ``random.Random.sample`` swaps in a pool of the population when N is at
+# most 21, plus 4^⌈log₄ 3n⌉ when n > 5; above that it rejects repeats. The
+# examples sit on both sides of the bound: (22, 5) and (86, 6) reject,
+# (85, 6) swaps, (278, 22) rejects and (277, 22) swaps.
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@example((22, 1, 7, 8))
+@example((22, 5, 2 ** 64, 8))
+@example((85, 6, 3, 8))
+@example((86, 6, 3, 8))
+@example((277, 22, 11, 4))
+@example((278, 22, 11, 4))
+@example((300, 300, 5, 2))
+@given(large_frames())
+def test_srswor_draws_on_large_frames_keep_the_sample_stream(case):
+    N, n, seed, k = case
+    # Distinct labels whose sorted order is not their frame order.
+    frame = [f"x{i * 7919 % 1009}" for i in range(N)]
+    design = Design.srswor(frame, n)
+    want = oracle_draws(design, seed, k)
+    rng = random.Random(seed)
+    assert [design.draw(rng) for _ in range(k)] == want
+    # The stream's positions come in the order that ``rng.sample`` picks them.
+    rng = random.Random(seed)
+    assert [[frame[p] for p in positions] for positions in design._stream(seed, k)] == \
+        [rng.sample(frame, n) for _ in range(k)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   EstimatorSpec, Graph, Motif, MotifSet, SampleBig, WeightError,
@@ -17,8 +18,8 @@ from bigs import (AncestorRule, Big, Design, DesignError, EnumerationCapError,
                   thompson1990, variance_difference)
 
 from oracles import (oracle_delta, oracle_hh_moments, oracle_ht_moments,
-                     oracle_induced_moments, oracle_pair_ratios, random_incidence,
-                     srswor_samples)
+                     oracle_induced_moments, oracle_inverse_alpha, oracle_pair_ratios,
+                     random_incidence, srswor_samples)
 
 MODIFIED = EstimatorSpec.parse("modified-ht")
 
@@ -55,6 +56,39 @@ def test_inverse_alpha_weights_from_big_and_supplied():
         resolve_weights(big, WeightScheme.inverse_alpha({"a": 1}))
     with pytest.raises(WeightError, match=">= 1"):
         resolve_weights(big, WeightScheme.inverse_alpha({"a": 0, "b": 1, "c": 1}))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(("big", "valid", "faulty")))
+def test_inverse_alpha_weights_equal_the_textbook_formula(seed, counts_from):
+    """Weights from the Big's successor counts or from supplied ones. With
+    faulty supplied counts, some missing and some below one, the error
+    names the first failing ancestor in motif order, then frame order."""
+    rng = random.Random(seed)
+    frame, beta, y = random_incidence(rng)
+    big = _make_big(frame, beta, y)
+    if counts_from == "big":
+        supplied = None
+        counts = {u: sum(u in anc for anc in beta.values()) for u in frame}
+    else:
+        choices = (1, 2, 3, 5, 6) if counts_from == "valid" else (None, 0, -1, 1, 2, 3)
+        counts = {u: rng.choice(choices) for u in frame}
+        supplied = {u: c for u, c in counts.items() if c is not None}
+    failure = None
+    for u in (u for m in big.motifs for u in sorted(beta[m.key], key=frame.index)):
+        if supplied is not None and u not in supplied:
+            failure = f"no successor count supplied for unit {u!r}"
+        elif counts[u] < 1:
+            failure = f"unit {u!r} has successor count {counts[u]}; need >= 1"
+        if failure:
+            break
+    if failure is None:
+        assert resolve_weights(big, WeightScheme.inverse_alpha(supplied)) == \
+            oracle_inverse_alpha(beta, counts)
+    else:
+        with pytest.raises(WeightError) as raised:
+            resolve_weights(big, WeightScheme.inverse_alpha(supplied))
+        assert str(raised.value) == failure
 
 
 def test_hh_point_estimate_checks_weights_beyond_the_seeds():

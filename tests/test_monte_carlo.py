@@ -8,6 +8,7 @@ tests/oracles.py that floats each exact estimate. The Monte Carlo mean
 must also lie within five standard errors of the exact expectation.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -203,3 +204,29 @@ def test_kept_stream_gives_the_summaries_of_a_fresh_design(monkeypatch):
     # The kept listed design drew its stream once; each fresh one drew it
     # for its summary and again through the oracle's ``draw``.
     assert len(calls) == replicates * (1 + 2 * 3 + 2 * 3)
+
+
+def test_monte_carlo_on_a_large_frame_reads_the_sample_stream():
+    """Forty units, ten of them without successors: n = 3 reaches
+    ``random.Random.sample``'s rejection of repeats (N > 21), n = 8 its
+    pool of positions (N <= 21 + 4^⌈log₄ 24⌉ = 85)."""
+    rng = random.Random(3)
+    frame = [f"u{i}" for i in range(40)]
+    beta = {f"m{j}": rng.sample(frame[:30], rng.randint(1, 4)) for j in range(12)}
+    y = {key: Fraction(rng.randint(-5, 9), rng.randint(1, 4)) for key in beta}
+    big = Big(frame, MotifSet([Motif(k) for k in beta], y), beta, AncestorRule.full())
+    replicates, seed = 200, 5
+    for n in (3, 8):
+        design = Design.srswor(frame, n)
+        for label in ("ht", "hh:inverse-alpha"):
+            spec = EstimatorSpec.parse(label)
+
+            @functools.cache
+            def exact(seeds):
+                return estimate(spec, design, big, realize_sample_big(big, seeds)).estimate
+
+            mc = monte_carlo_moments(design, big, spec, replicates, seed)
+            assert (mc.mean, mc.variance, mc.mse, mc.se_mean, mc.se_variance, mc.se_mse,
+                    mc.target) == oracle_monte_carlo(
+                        lambda r: frozenset(r.sample(frame, n)), exact, replicates, seed,
+                        big.theta())
