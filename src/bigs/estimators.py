@@ -352,10 +352,10 @@ class _Plan:
         if self._numerator is None:
             terms = []
             for row in range(len(self.labels)):
-                parts = [(a, b) for a, b in self.parts(row) if a and b]
-                if parts:
-                    pi = self.pi(row)
-                    for a, b in parts:
+                pi = None  # priced on the row's first nonzero part
+                for a, b in self.parts(row):
+                    if a and b:
+                        pi = pi or self.pi(row)
                         n = a.numerator * b.numerator * pi.denominator
                         d = a.denominator * b.denominator * pi.numerator * self.div
                         g = math.gcd(n, d)
