@@ -298,18 +298,16 @@ class _Plan:
             self.labels = frame
             self.select = self.hit_by = [(p,) for p in range(len(frame))]
             # z_i = Σ_k ω_ik y_k over the successors k of unit i.
-            self.parts = lambda p: [(weights(keys[j])[p], y(keys[j])) for j in alpha[p]]
+            parts = self.parts = lambda p: [(weights(keys[j])[p], y(keys[j])) for j in alpha[p]]
+            self.value = lambda p: _dot(parts(p))
         else:
             terms = _eligibility_big(big) if spec.kind == MODIFIED_HT else big
             self.labels = keys
             self.select = terms._successor_indices()
             self.hit_by = list(terms._beta.values())
             self.parts = lambda j: ((y(keys[j]), 1),)
+            self.value = lambda j: y(keys[j])
         self._price, self._by_size = design._pricer(frame, fully_selected)
-
-    def value(self, row: int) -> Fraction:
-        """The row's value, Σ a·b over its parts: y_k, or z_i for an HH row."""
-        return _dot(self.parts(row))
 
     def pi(self, row: int) -> Fraction:
         """The probability that the initial sample hits the row."""

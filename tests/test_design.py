@@ -312,7 +312,7 @@ def test_draws_streams_and_supports_keep_the_label_stream(instance):
 @st.composite
 def large_frames(draw):
     """A frame size above ``random.Random.sample``'s smallest set-size bound
-    of 21, a sample size up to it (small ones more often), a seed and a
+    of 21, a sample size up to N (small ones more often), a seed and a
     stream length."""
     N = draw(st.integers(22, 300))
     n = draw(st.one_of(st.integers(1, min(N, 12)), st.integers(1, N)))

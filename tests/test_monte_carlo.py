@@ -207,7 +207,7 @@ def test_kept_stream_gives_the_summaries_of_a_fresh_design(monkeypatch):
 
 
 def test_monte_carlo_on_a_large_frame_reads_the_sample_stream():
-    """Forty units, ten of them without successors: n = 3 reaches
+    """Forty units, at least ten without successors: n = 3 reaches
     ``random.Random.sample``'s rejection of repeats (N > 21), n = 8 its
     pool of positions (N <= 21 + 4^⌈log₄ 24⌉ = 85)."""
     rng = random.Random(3)
